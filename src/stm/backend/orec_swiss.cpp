@@ -74,14 +74,7 @@ void OrecSwissEngine::extend(TxnDesc& d, std::uint64_t needed_version) {
 void OrecSwissEngine::acquire_commit_locks(TxnDesc& d) {
   // Lock every written stripe in sorted orec order (deadlock-free between
   // concurrent committers even without the contention manager's help).
-  std::vector<Orec*> orecs;
-  orecs.reserve(d.write_set_.size());
-  for (const WriteEntry& e : d.write_set_.entries()) {
-    orecs.push_back(&d.rt_.orecs().for_address(e.addr));
-  }
-  std::sort(orecs.begin(), orecs.end());
-  orecs.erase(std::unique(orecs.begin(), orecs.end()), orecs.end());
-  for (Orec* o : orecs) {
+  for (Orec* o : sorted_write_orecs(d)) {
     for (;;) {
       const LockWord w = o->load();
       if (is_locked(w)) {
@@ -94,6 +87,17 @@ void OrecSwissEngine::acquire_commit_locks(TxnDesc& d) {
       break;
     }
   }
+}
+
+const std::vector<Orec*>& OrecSwissEngine::sorted_write_orecs(TxnDesc& d) {
+  std::vector<Orec*>& orecs = d.commit_orecs_;
+  orecs.clear();
+  for (const WriteEntry& e : d.write_set_.entries()) {
+    orecs.push_back(&d.rt_.orecs().for_address(e.addr));
+  }
+  std::sort(orecs.begin(), orecs.end());
+  orecs.erase(std::unique(orecs.begin(), orecs.end()), orecs.end());
+  return orecs;
 }
 
 void OrecSwissEngine::rollback_locks(TxnDesc& d) noexcept {

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "src/stm/raw_access.hpp"
 #include "src/stm/runtime.hpp"
@@ -51,6 +52,12 @@ struct OrecSwissEngine {
       if (o.load() != w) continue;  // raced with a writer; retry
       if (version_of(w) > d.rv_) {
         extend(d, version_of(w));  // aborts the txn if extension fails
+        // `v` predates the new read timestamp: a writer may have committed
+        // to this stripe between the orec check and extend's clock sample,
+        // and neither extend (which validates only earlier reads) nor the
+        // commit fast path (wv == rv + 1) would notice. Re-read under the
+        // extended snapshot.
+        continue;
       }
       d.read_set_.record(&o, w);
       return v;
@@ -121,6 +128,11 @@ struct OrecSwissEngine {
   static void on_conflict(TxnDesc& d, Orec& orec, LockWord observed,
                           AbortCause cause);
   static void acquire_commit_locks(TxnDesc& d);
+  // The distinct stripes of the write set in ascending address order — the
+  // deadlock-free commit-time locking order tl2 shares. Refills the
+  // descriptor's scratch buffer, so a writing commit allocates nothing once
+  // the buffer has grown to the largest write set seen.
+  static const std::vector<Orec*>& sorted_write_orecs(TxnDesc& d);
 };
 
 }  // namespace rubic::stm

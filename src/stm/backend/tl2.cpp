@@ -1,8 +1,5 @@
 #include "src/stm/backend/tl2.hpp"
 
-#include <algorithm>
-#include <vector>
-
 namespace rubic::stm {
 
 void Tl2Engine::acquire_commit_locks(TxnDesc& d) {
@@ -11,17 +8,10 @@ void Tl2Engine::acquire_commit_locks(TxnDesc& d) {
   // never consults the contention manager: canonical TL2 aborts on any
   // foreign lock and relies on atomically()'s randomized backoff for
   // livelock freedom.
-  std::vector<Orec*> orecs;
-  orecs.reserve(d.write_set_.size());
-  for (const WriteEntry& e : d.write_set_.entries()) {
-    orecs.push_back(&d.rt_.orecs().for_address(e.addr));
-  }
-  std::sort(orecs.begin(), orecs.end());
-  orecs.erase(std::unique(orecs.begin(), orecs.end()), orecs.end());
-  for (Orec* o : orecs) {
+  for (Orec* o : OrecSwissEngine::sorted_write_orecs(d)) {
     const LockWord w = o->load();
     if (is_locked(w)) {
-      // Dedup above guarantees the owner is foreign.
+      // The stripes are deduplicated, so the owner is foreign.
       if (profiler::armed()) [[unlikely]] {
         d.note_conflict(d.rt_.orecs().index_of(*o),
                         owner_of(w)->profiler_label());

@@ -266,6 +266,11 @@ class alignas(util::kCacheLineSize) TxnDesc {
   std::vector<LimboEntry> limbo_;              // FIFO, owner-thread only
   std::size_t limbo_head_ = 0;
   std::uint64_t defers_since_advance_ = 0;
+
+  // orec/tl2 backends: commit-time scratch for the sorted, deduplicated
+  // write stripes; cleared per commit, capacity kept. Last, so the fields
+  // the per-word paths touch keep their offsets.
+  std::vector<Orec*> commit_orecs_;
 };
 
 }  // namespace rubic::stm

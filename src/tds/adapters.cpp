@@ -1,22 +1,6 @@
 #include "src/tds/adapters.hpp"
 
-#include <limits>
-
 namespace rubic::tds {
-
-std::size_t RbTreeMap::range_scan(stm::Txn& tx, std::int64_t lo,
-                                  std::int64_t hi, const ScanFn& fn) const {
-  // lower_bound hops: O(scan * log n), but no iterator state to validate.
-  std::size_t visited = 0;
-  std::optional<std::int64_t> k = tree_.lower_bound_key(tx, lo);
-  while (k.has_value() && *k < hi) {
-    fn(*k, tree_.get(tx, *k).value_or(0));
-    ++visited;
-    if (*k == std::numeric_limits<std::int64_t>::max()) break;
-    k = tree_.lower_bound_key(tx, *k + 1);
-  }
-  return visited;
-}
 
 std::size_t HashMapMap::range_scan(stm::Txn& tx, std::int64_t lo,
                                    std::int64_t hi, const ScanFn& fn) const {
@@ -27,24 +11,6 @@ std::size_t HashMapMap::range_scan(stm::Txn& tx, std::int64_t lo,
       fn(k, *v);
       ++visited;
     }
-  }
-  return visited;
-}
-
-std::size_t ListMap::range_scan(stm::Txn& tx, std::int64_t lo,
-                                std::int64_t hi, const ScanFn& fn) const {
-  std::size_t visited = 0;
-  // next_key is strictly-greater, so start one below the interval.
-  std::optional<std::int64_t> k;
-  if (list_.contains(tx, lo)) {
-    k = lo;
-  } else {
-    k = list_.next_key(tx, lo);
-  }
-  while (k.has_value() && *k < hi) {
-    fn(*k, list_.get(tx, *k).value_or(0));
-    ++visited;
-    k = list_.next_key(tx, *k);
   }
   return visited;
 }

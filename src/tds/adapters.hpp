@@ -39,7 +39,9 @@ class RbTreeMap final : public TMap {
     return tree_.get(tx, key);
   }
   std::size_t range_scan(stm::Txn& tx, std::int64_t lo, std::int64_t hi,
-                         const ScanFn& fn) const override;
+                         const ScanFn& fn) const override {
+    return tree_.range_scan(tx, lo, hi, fn);
+  }
   std::int64_t size(stm::Txn& tx) const override { return tree_.size(tx); }
 
   std::size_t unsafe_size() const override { return tree_.unsafe_size(); }
@@ -117,7 +119,9 @@ class ListMap final : public TMap {
     return list_.get(tx, key);
   }
   std::size_t range_scan(stm::Txn& tx, std::int64_t lo, std::int64_t hi,
-                         const ScanFn& fn) const override;
+                         const ScanFn& fn) const override {
+    return list_.range_scan(tx, lo, hi, fn);
+  }
   std::int64_t size(stm::Txn& tx) const override { return list_.size(tx); }
 
   std::size_t unsafe_size() const override { return list_.unsafe_size(); }

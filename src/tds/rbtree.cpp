@@ -77,6 +77,52 @@ std::optional<std::int64_t> RbTree::lower_bound_key(Txn& tx,
   return best;
 }
 
+std::size_t RbTree::range_scan(Txn& tx, std::int64_t lo, std::int64_t hi,
+                               const ScanFn& fn) const {
+  if (hi <= lo) return 0;
+  // The stack holds the pending nodes with key >= lo whose left subtree is
+  // done, smallest on top; a frame carries its key so each key is read
+  // once. Visiting a node stacks the left spine of its right subtree, which
+  // costs about four reads per visited key.
+  struct Frame {
+    Node* node;
+    std::int64_t key;
+  };
+  Frame stack[kMaxScanDepth];
+  std::size_t depth = 0;
+  const auto push = [&](Node* n, std::int64_t k) {
+    if (depth == kMaxScanDepth) tx.retry();
+    stack[depth++] = {n, k};
+  };
+  // One descent toward lo, stacking every node the path passes on its left.
+  for (Node* n = root_.read(tx); !is_nil(n);) {
+    const std::int64_t k = n->key.read(tx);
+    if (k < lo) {
+      n = n->right.read(tx);
+      continue;
+    }
+    push(n, k);
+    if (k == lo) break;
+    n = n->left.read(tx);
+  }
+  std::size_t visited = 0;
+  std::int64_t last = lo;
+  while (depth > 0) {
+    const Frame f = stack[--depth];
+    if (f.key >= hi) break;
+    // Keys strictly ascend in any consistent snapshot; a repeat means a
+    // doomed attempt whose walk could otherwise cycle.
+    if (visited > 0 && f.key <= last) tx.retry();
+    last = f.key;
+    fn(f.key, f.node->value.read(tx));
+    ++visited;
+    for (Node* n = f.node->right.read(tx); !is_nil(n); n = n->left.read(tx)) {
+      push(n, n->key.read(tx));
+    }
+  }
+  return visited;
+}
+
 std::int64_t RbTree::size(Txn& tx) const { return size_.read(tx); }
 
 void RbTree::rotate_left(Txn& tx, Node* x) {

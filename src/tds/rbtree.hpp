@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/stm/stm.hpp"
+#include "src/tds/tmap.hpp"
 
 namespace rubic::tds {
 
@@ -42,6 +43,11 @@ class RbTree {
   // Smallest key >= key, if any (used by Vacation's resource queries).
   std::optional<std::int64_t> lower_bound_key(stm::Txn& tx,
                                               std::int64_t key) const;
+  // Visits every pair with lo <= key < hi in ascending key order and
+  // returns the number visited: one descent toward lo, then an in-order
+  // walk, so O(log n + k) transactional reads for k visited keys.
+  std::size_t range_scan(stm::Txn& tx, std::int64_t lo, std::int64_t hi,
+                         const ScanFn& fn) const;
 
   // --- quiescent helpers (no concurrent transactions may run) ---
 
@@ -79,6 +85,11 @@ class RbTree {
 
   static constexpr std::uint64_t kBlack = 0;
   static constexpr std::uint64_t kRed = 1;
+  // Frames of range_scan's in-order walk. A valid red-black tree over
+  // 64-bit keys is at most 2*log2(n+1) <= 128 nodes tall, and the walk only
+  // stacks nodes of one root-to-leaf path, so running out of frames means
+  // the transaction read an inconsistent snapshot.
+  static constexpr std::size_t kMaxScanDepth = 128;
 
   Node* find_node(stm::Txn& tx, std::int64_t key) const;
   void rotate_left(stm::Txn& tx, Node* x);

@@ -70,14 +70,18 @@ bool TList::erase(Txn& tx, std::int64_t key) {
 
 std::int64_t TList::size(Txn& tx) const { return size_.read(tx); }
 
-std::optional<std::int64_t> TList::next_key(Txn& tx, std::int64_t key) const {
-  Node* prev = find_predecessor(tx, key);
-  Node* node = prev->next.read(tx);
-  if (node != nullptr && node->key.read(tx) == key) {
-    node = node->next.read(tx);
+std::size_t TList::range_scan(Txn& tx, std::int64_t lo, std::int64_t hi,
+                              const ScanFn& fn) const {
+  if (hi <= lo) return 0;
+  std::size_t visited = 0;
+  for (Node* node = find_predecessor(tx, lo)->next.read(tx); node != nullptr;
+       node = node->next.read(tx)) {
+    const std::int64_t key = node->key.read(tx);
+    if (key >= hi) break;
+    fn(key, node->value.read(tx));
+    ++visited;
   }
-  if (node == nullptr) return std::nullopt;
-  return node->key.read(tx);
+  return visited;
 }
 
 std::size_t TList::unsafe_size() const {

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "src/stm/stm.hpp"
+#include "src/tds/tmap.hpp"
 
 namespace rubic::tds {
 
@@ -32,8 +33,11 @@ class TList {
   bool insert(stm::Txn& tx, std::int64_t key, std::int64_t value);
   bool erase(stm::Txn& tx, std::int64_t key);
   std::int64_t size(stm::Txn& tx) const;
-  // Smallest key strictly greater than `key`, if any.
-  std::optional<std::int64_t> next_key(stm::Txn& tx, std::int64_t key) const;
+  // Visits every pair with lo <= key < hi in ascending key order and
+  // returns the number visited: one walk to lo, then along the chain, so
+  // O(position + k) transactional reads for k visited keys.
+  std::size_t range_scan(stm::Txn& tx, std::int64_t lo, std::int64_t hi,
+                         const ScanFn& fn) const;
 
   // --- quiescent helpers ---
 

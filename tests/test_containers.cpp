@@ -249,17 +249,26 @@ TEST_F(TListTest, EraseHeadMiddleTail) {
   EXPECT_TRUE(list_.check_invariants());
 }
 
-TEST_F(TListTest, NextKeyIteration) {
+TEST_F(TListTest, RangeScanIteration) {
   for (std::int64_t k : {10, 20, 30}) {
-    tx([&](stm::Txn& t) { list_.insert(t, k, k); });
+    tx([&](stm::Txn& t) { list_.insert(t, k, k * 10); });
   }
-  auto next = [&](std::int64_t k) {
-    return tx([&](stm::Txn& t) { return list_.next_key(t, k); });
+  using Pairs = std::vector<std::pair<std::int64_t, std::int64_t>>;
+  auto scan = [&](std::int64_t lo, std::int64_t hi) {
+    Pairs seen;
+    tx([&](stm::Txn& t) {
+      seen.clear();
+      list_.range_scan(t, lo, hi, [&](std::int64_t k, std::int64_t v) {
+        seen.emplace_back(k, v);
+      });
+    });
+    return seen;
   };
-  EXPECT_EQ(next(0), 10);
-  EXPECT_EQ(next(10), 20);
-  EXPECT_EQ(next(25), 30);
-  EXPECT_EQ(next(30), std::nullopt);
+  EXPECT_EQ(scan(0, 100), (Pairs{{10, 100}, {20, 200}, {30, 300}}));
+  EXPECT_EQ(scan(10, 30), (Pairs{{10, 100}, {20, 200}}));  // [lo, hi)
+  EXPECT_EQ(scan(11, 31), (Pairs{{20, 200}, {30, 300}}));
+  EXPECT_EQ(scan(25, 26), Pairs{});
+  EXPECT_EQ(scan(31, 100), Pairs{});
 }
 
 TEST_F(TListTest, GetAndContains) {

@@ -7,12 +7,14 @@
 // SIGKILL and assert the survivors' view.
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <sys/mman.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <new>
 #include <string>
 #include <thread>
 
@@ -223,13 +225,22 @@ TEST(IpcBus, ReclaimsSlotOfSigkilledChild) {
 
 // The §4.3 acceptance scenario: two real processes under bus-EqualShare
 // must each settle at contexts / 2. Children sample their controller only
-// once both are registered, so every sample must be exactly the fair share.
+// once both are registered, and stay registered (beating) until both have
+// finished sampling, so every sample must be exactly the fair share.
 TEST(IpcBus, EqualShareAcrossProcesses) {
   const std::string name = unique_name("eqshare");
   Unlinker cleanup{name};
   constexpr int kContexts = 8;
   auto bus =
       ipc::CoLocationBus::create_or_attach(test_config(name, kContexts));
+  // Children that have finished sampling. Without this rendezvous a child
+  // scheduled a few rounds late would see its sibling exit (and drop out
+  // of live_count()) before its own last sample.
+  void* shared = mmap(nullptr, sizeof(std::atomic<int>),
+                      PROT_READ | PROT_WRITE, MAP_SHARED | MAP_ANONYMOUS, -1,
+                      0);
+  ASSERT_NE(shared, MAP_FAILED);
+  auto* finished = new (shared) std::atomic<int>{0};
 
   auto spawn = [&]() -> pid_t {
     const pid_t pid = fork();
@@ -255,6 +266,12 @@ TEST(IpcBus, EqualShareAcrossProcesses) {
       std::this_thread::sleep_for(milliseconds(5));
     }
     const double mean_level = level_sum / kRounds;
+    finished->fetch_add(1);
+    while (finished->load() < 2) {
+      if (steady_clock::now() > deadline) _exit(3);
+      child_bus->publish({});
+      std::this_thread::sleep_for(milliseconds(2));
+    }
     // Both processes are alive the whole time: the share is exactly N/2.
     _exit(mean_level == kContexts / 2 ? 0 : 4);
   };
@@ -269,6 +286,7 @@ TEST(IpcBus, EqualShareAcrossProcesses) {
     ASSERT_TRUE(WIFEXITED(status));
     EXPECT_EQ(WEXITSTATUS(status), 0) << "child " << child;
   }
+  munmap(shared, sizeof(std::atomic<int>));
 }
 
 // Slot lifecycle under sustained churn: generations of children claim

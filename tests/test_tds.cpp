@@ -4,6 +4,9 @@
 //    every backend (seeded fill vs. reference model, single-threaded mixed
 //    ops vs. std::map, 4-thread churn with operation-count accounting and
 //    in-transaction snapshot ordering checks),
+//  - range-scan edge cases (empty map, hi <= lo, whole-map windows, keys at
+//    the int64 extremes) vs. std::map, snapshot atomicity of scans against
+//    pair-writing transactions, and read-count bounds on rbtree/list scans,
 //  - structure-specific shape tests for the new skiplist and B+-tree,
 //  - FIFO/ordering invariants for TQueue and TList under 4-thread
 //    concurrent transactions on every backend (previously untested here),
@@ -12,6 +15,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -101,6 +105,47 @@ TEST(TSetView, MembershipOverAnyMap) {
 
 // --- the shared structure × backend suite ---
 
+using Pairs = std::vector<std::pair<std::int64_t, std::int64_t>>;
+using Model = std::map<std::int64_t, std::int64_t>;
+
+constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+
+// Scans [lo, hi) in one transaction; the returned count must match the
+// visits, and unordered structures are sorted for comparison.
+Pairs scan_pairs(TMap& map, stm::TxnDesc& ctx, std::int64_t lo,
+                 std::int64_t hi) {
+  Pairs seen;
+  const std::size_t n = stm::atomically(ctx, [&](stm::Txn& tx) {
+    seen.clear();
+    return map.range_scan(tx, lo, hi, [&](std::int64_t k, std::int64_t v) {
+      seen.emplace_back(k, v);
+    });
+  });
+  EXPECT_EQ(n, seen.size()) << "range_scan must return the visit count";
+  if (!map.ordered()) std::sort(seen.begin(), seen.end());
+  return seen;
+}
+
+Pairs model_window(const Model& model, std::int64_t lo, std::int64_t hi) {
+  Pairs want;
+  for (auto it = model.lower_bound(lo); it != model.end() && it->first < hi;
+       ++it) {
+    want.emplace_back(it->first, it->second);
+  }
+  return want;
+}
+
+// Inserts every key with a value that stays defined at the int64 extremes.
+void insert_keys(TMap& map, stm::TxnDesc& ctx, Model& model,
+                 const std::vector<std::int64_t>& keys) {
+  for (const std::int64_t k : keys) {
+    const std::int64_t v = k ^ 0x5a5a;
+    stm::atomically(ctx, [&](stm::Txn& tx) { map.insert(tx, k, v); });
+    model.emplace(k, v);
+  }
+}
+
 struct MatrixParam {
   std::string_view structure;
   stm::BackendKind backend;
@@ -139,7 +184,7 @@ TEST_P(StructureMatrix, MixedOpsMatchStdMap) {
   stm::Runtime rt(with_backend(GetParam().backend));
   stm::TxnDesc& ctx = rt.register_thread();
   auto map = make_structure(GetParam().structure);
-  std::map<std::int64_t, std::int64_t> model;
+  Model model;
   util::Xoshiro256 rng(0x0b5e55ed);
   constexpr std::int64_t kRange = 256;
   for (int op = 0; op < 3000; ++op) {
@@ -176,26 +221,10 @@ TEST_P(StructureMatrix, MixedOpsMatchStdMap) {
         EXPECT_EQ(n, static_cast<std::int64_t>(model.size()));
         break;
       }
-      default: {  // range scan over a short window
-        const std::int64_t hi = key + 16;
-        std::vector<std::pair<std::int64_t, std::int64_t>> seen;
-        stm::atomically(ctx, [&](stm::Txn& tx) {
-          seen.clear();
-          map->range_scan(tx, key, hi, [&](std::int64_t k, std::int64_t v) {
-            seen.emplace_back(k, v);
-          });
-        });
-        std::vector<std::pair<std::int64_t, std::int64_t>> want;
-        for (auto it = model.lower_bound(key);
-             it != model.end() && it->first < hi; ++it) {
-          want.emplace_back(it->first, it->second);
-        }
-        if (!map->ordered()) {
-          std::sort(seen.begin(), seen.end());
-        }
-        EXPECT_EQ(seen, want);
+      default:  // range scan over a short window
+        EXPECT_EQ(scan_pairs(*map, ctx, key, key + 16),
+                  model_window(model, key, key + 16));
         break;
-      }
     }
   }
   std::string error;
@@ -279,8 +308,191 @@ TEST_P(StructureMatrix, ConcurrentChurnReconcilesCounts) {
   EXPECT_TRUE(values_ok) << "a value diverged from the fill convention";
 }
 
+// --- range-scan edge cases and snapshot atomicity ---
+
+TEST_P(StructureMatrix, ScanOfEmptyMapVisitsNothing) {
+  stm::Runtime rt(with_backend(GetParam().backend));
+  stm::TxnDesc& ctx = rt.register_thread();
+  auto map = make_structure(GetParam().structure);
+  EXPECT_TRUE(scan_pairs(*map, ctx, 0, 16).empty());
+  EXPECT_TRUE(scan_pairs(*map, ctx, kMin, kMin + 16).empty());
+  EXPECT_TRUE(scan_pairs(*map, ctx, kMax - 16, kMax).empty());
+  // The hash map probes every key in the window, so only ordered
+  // structures take the unbounded one.
+  if (map->ordered()) {
+    EXPECT_TRUE(scan_pairs(*map, ctx, kMin, kMax).empty());
+  }
+}
+
+TEST_P(StructureMatrix, ScanWithHiNotAboveLoVisitsNothing) {
+  stm::Runtime rt(with_backend(GetParam().backend));
+  stm::TxnDesc& ctx = rt.register_thread();
+  auto map = make_structure(GetParam().structure);
+  Model model;
+  std::vector<std::int64_t> keys;
+  for (std::int64_t k = 0; k < 64; ++k) keys.push_back(k);
+  insert_keys(*map, ctx, model, keys);
+  EXPECT_TRUE(scan_pairs(*map, ctx, 10, 10).empty());
+  EXPECT_TRUE(scan_pairs(*map, ctx, 20, 10).empty());
+  EXPECT_TRUE(scan_pairs(*map, ctx, 63, 0).empty());
+  EXPECT_TRUE(scan_pairs(*map, ctx, kMax, kMin).empty());
+  EXPECT_TRUE(scan_pairs(*map, ctx, 0, kMin).empty());
+}
+
+TEST_P(StructureMatrix, ScanCoveringWholeMapVisitsEveryPair) {
+  stm::Runtime rt(with_backend(GetParam().backend));
+  stm::TxnDesc& ctx = rt.register_thread();
+  auto map = make_structure(GetParam().structure);
+  Model model;
+  util::Xoshiro256 rng(0x5ca9);
+  std::vector<std::int64_t> keys;
+  for (int i = 0; i < 120; ++i) {
+    keys.push_back(static_cast<std::int64_t>(rng.below(256)));
+  }
+  insert_keys(*map, ctx, model, keys);
+  const std::int64_t first = model.begin()->first;
+  const std::int64_t last = model.rbegin()->first;
+  const Pairs all = model_window(model, kMin, kMax);
+  EXPECT_EQ(scan_pairs(*map, ctx, first, last + 1), all);
+  EXPECT_EQ(scan_pairs(*map, ctx, -1, 257), all);
+  if (map->ordered()) {
+    EXPECT_EQ(scan_pairs(*map, ctx, kMin, kMax), all);
+  }
+}
+
+TEST_P(StructureMatrix, ScanAtInt64ExtremesMatchesStdMap) {
+  stm::Runtime rt(with_backend(GetParam().backend));
+  stm::TxnDesc& ctx = rt.register_thread();
+  auto map = make_structure(GetParam().structure);
+  Model model;
+  insert_keys(*map, ctx, model,
+              {kMin, kMin + 1, kMin + 5, -1, 0, 1, kMax - 5, kMax - 1, kMax});
+  const std::vector<std::pair<std::int64_t, std::int64_t>> windows = {
+      {kMin, kMin + 8}, {kMin + 1, kMin + 2}, {kMin + 2, kMin + 5},
+      {-2, 2},          {kMax - 8, kMax},     {kMax - 1, kMax},
+      {kMax, kMax},
+  };
+  for (const auto& [lo, hi] : windows) {
+    EXPECT_EQ(scan_pairs(*map, ctx, lo, hi), model_window(model, lo, hi))
+        << "window [" << lo << ", " << hi << ")";
+  }
+  if (map->ordered()) {
+    for (const std::int64_t lo : {kMin, kMin + 1, std::int64_t{0}, kMax - 1}) {
+      EXPECT_EQ(scan_pairs(*map, ctx, lo, kMax), model_window(model, lo, kMax))
+          << "window [" << lo << ", INT64_MAX)";
+    }
+  }
+}
+
+// Writers insert or remove the pair (2i, 2i+1) in one transaction, so a
+// scan that runs in one transaction must see each pair whole or not at all.
+TEST_P(StructureMatrix, ScansSeeWritePairsAtomically) {
+  stm::Runtime rt(with_backend(GetParam().backend));
+  auto map = make_structure(GetParam().structure);
+  constexpr std::int64_t kPairs = 64;
+  constexpr int kWriters = 2, kScanners = 2, kOpsPerThread = 400;
+  std::atomic<int> torn{0};
+  std::atomic<int> ledger_errors{0};
+  util::SpinBarrier barrier(kWriters + kScanners);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kWriters; ++t) {
+    threads.emplace_back([&, t] {
+      stm::TxnDesc& ctx = rt.register_thread();
+      util::Xoshiro256 rng(0xba1 + t);
+      barrier.arrive_and_wait();
+      for (int op = 0; op < kOpsPerThread; ++op) {
+        const auto key = 2 * static_cast<std::int64_t>(rng.below(kPairs));
+        const bool consistent = stm::atomically(ctx, [&](stm::Txn& tx) {
+          if (map->contains(tx, key)) {
+            return map->remove(tx, key) && map->remove(tx, key + 1);
+          }
+          return map->insert(tx, key, key) && map->insert(tx, key + 1, key);
+        });
+        if (!consistent) ++ledger_errors;
+      }
+    });
+  }
+  for (int t = 0; t < kScanners; ++t) {
+    threads.emplace_back([&, t] {
+      stm::TxnDesc& ctx = rt.register_thread();
+      util::Xoshiro256 rng(0x5c4 + t);
+      std::vector<std::int64_t> seen;
+      barrier.arrive_and_wait();
+      for (int op = 0; op < kOpsPerThread; ++op) {
+        // Even bounds, so a window never splits a pair.
+        const auto lo = 2 * static_cast<std::int64_t>(rng.below(kPairs));
+        stm::atomically(ctx, [&](stm::Txn& tx) {
+          seen.clear();
+          map->range_scan(tx, lo, lo + 32, [&](std::int64_t k, std::int64_t) {
+            seen.push_back(k);
+          });
+        });
+        std::sort(seen.begin(), seen.end());
+        for (const std::int64_t k : seen) {
+          const std::int64_t mate = k % 2 == 0 ? k + 1 : k - 1;
+          if (!std::binary_search(seen.begin(), seen.end(), mate)) ++torn;
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(ledger_errors.load(), 0)
+      << "a pair was half present inside a writer's transaction";
+  EXPECT_EQ(torn.load(), 0) << "a scan saw half of a pair";
+  EXPECT_EQ(map->unsafe_size() % 2, 0u);
+  std::string error;
+  EXPECT_TRUE(map->check_invariants(&error)) << error;
+}
+
 INSTANTIATE_TEST_SUITE_P(AllStructuresAllBackends, StructureMatrix,
                          ::testing::ValuesIn(matrix_params()), matrix_name);
+
+// --- range-scan cost ---
+
+// Transactional reads one committed transaction spends on a [lo, hi) scan.
+std::uint64_t scan_reads(TMap& map, stm::TxnDesc& ctx, std::int64_t lo,
+                         std::int64_t hi, std::size_t* visited) {
+  const std::uint64_t before = ctx.stats().reads.load();
+  *visited = stm::atomically(ctx, [&](stm::Txn& tx) {
+    return map.range_scan(tx, lo, hi, [](std::int64_t, std::int64_t) {});
+  });
+  return ctx.stats().reads.load() - before;
+}
+
+// A scan must cost one descent plus a walk over the visited keys, not a
+// fresh descent (rbtree) or head-of-list walk (list) per key.
+TEST(RangeScanCost, RbTreeReadsLinearInHeightPlusWindow) {
+  stm::Runtime rt;
+  stm::TxnDesc& ctx = rt.register_thread();
+  auto map = make_structure("rbtree");
+  constexpr std::int64_t kKeys = 4096;
+  for (std::int64_t i = 0; i < kKeys; ++i) {
+    const std::int64_t k = (i * 2897) % kKeys;  // odd stride: a permutation
+    stm::atomically(ctx, [&](stm::Txn& tx) { map->insert(tx, k, k); });
+  }
+  constexpr std::int64_t kWindow = 64;
+  constexpr std::uint64_t kMaxHeight = 2 * 13;  // 2 * ceil(log2(kKeys + 1))
+  std::size_t visited = 0;
+  const std::uint64_t reads =
+      scan_reads(*map, ctx, 2000, 2000 + kWindow, &visited);
+  EXPECT_EQ(visited, static_cast<std::size_t>(kWindow));
+  EXPECT_LE(reads, 4 * kMaxHeight + 4 * kWindow + 8);
+}
+
+TEST(RangeScanCost, ListReadsLinearInPositionPlusWindow) {
+  stm::Runtime rt;
+  stm::TxnDesc& ctx = rt.register_thread();
+  auto map = make_structure("list");
+  for (std::int64_t k = 0; k < 1024; ++k) {
+    stm::atomically(ctx, [&](stm::Txn& tx) { map->insert(tx, k, k); });
+  }
+  constexpr std::int64_t kPosition = 512, kWindow = 64;
+  std::size_t visited = 0;
+  const std::uint64_t reads =
+      scan_reads(*map, ctx, kPosition, kPosition + kWindow, &visited);
+  EXPECT_EQ(visited, static_cast<std::size_t>(kWindow));
+  EXPECT_LE(reads, 2 * kPosition + 4 * kWindow + 16);
+}
 
 // --- skiplist shape ---
 

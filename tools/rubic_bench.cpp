@@ -477,7 +477,21 @@ double bench_stm_commit_profiler_disarmed_pct() {
 }
 
 // --- transactional data-structure micro benches (micro_tds suite) ---
-//
+
+constexpr std::int64_t kSynchroBenchKeys = 1024;
+
+// A structure holding keys 0..kSynchroBenchKeys-1, each mapped to itself.
+std::unique_ptr<tds::TMap> prefilled_structure(std::string_view structure) {
+  tds::StructureConfig cfg;
+  cfg.capacity_hint = kSynchroBenchKeys;
+  std::unique_ptr<tds::TMap> map = tds::make_structure(structure, cfg);
+  auto& ctx = bench_ctx();
+  for (std::int64_t k = 0; k < kSynchroBenchKeys; ++k) {
+    stm::atomically(ctx, [&](stm::Txn& tx) { map->insert(tx, k, k); });
+  }
+  return map;
+}
+
 // One cell per tds structure: a single-threaded uncontended
 // remove-then-insert pair over a prefilled instance on the orec backend —
 // each structure's transactional write path end to end (skiplist tower
@@ -486,14 +500,9 @@ double bench_stm_commit_profiler_disarmed_pct() {
 // skiplist/btree cells are stable enough to gate in ci-fast.
 double bench_synchro_rmw_ns(std::string_view structure) {
   constexpr std::uint64_t kOps = 1 << 14;  // one op = remove + insert
-  constexpr std::int64_t kKeys = 1024;
-  tds::StructureConfig cfg;
-  cfg.capacity_hint = kKeys;
-  const std::unique_ptr<tds::TMap> map = tds::make_structure(structure, cfg);
+  constexpr std::int64_t kKeys = kSynchroBenchKeys;
+  const std::unique_ptr<tds::TMap> map = prefilled_structure(structure);
   auto& ctx = bench_ctx();
-  for (std::int64_t k = 0; k < kKeys; ++k) {
-    stm::atomically(ctx, [&](stm::Txn& tx) { map->insert(tx, k, k); });
-  }
   std::int64_t key = 0;
   const double start = now_seconds();
   for (std::uint64_t i = 0; i < kOps; ++i) {
@@ -504,6 +513,31 @@ double bench_synchro_rmw_ns(std::string_view structure) {
   }
   const double elapsed = now_seconds() - start;
   if (key == -1) std::abort();
+  return elapsed * 1e9 / static_cast<double>(kOps);
+}
+
+// One range scan per structure: a single-threaded 64-key window over the
+// same prefilled 1024-key instance, sliding across the key space — the
+// read-only scan path (in-order walk, list chain, leaf chain, level-0 chain,
+// per-key hash probes). Recorded for cross-structure comparison, never gated.
+double bench_synchro_scan_ns(std::string_view structure) {
+  constexpr std::uint64_t kOps = 1 << 12;
+  constexpr std::int64_t kWindow = 64;
+  const std::unique_ptr<tds::TMap> map = prefilled_structure(structure);
+  auto& ctx = bench_ctx();
+  std::int64_t lo = 0;
+  std::int64_t sum = 0;
+  const double start = now_seconds();
+  for (std::uint64_t i = 0; i < kOps; ++i) {
+    lo = (lo + 401) % (kSynchroBenchKeys - kWindow);
+    const std::size_t visited = stm::atomically(ctx, [&](stm::Txn& tx) {
+      return map->range_scan(tx, lo, lo + kWindow,
+                             [&](std::int64_t, std::int64_t v) { sum += v; });
+    });
+    if (visited != static_cast<std::size_t>(kWindow)) std::abort();
+  }
+  const double elapsed = now_seconds() - start;
+  if (sum == -1) std::abort();
   return elapsed * 1e9 / static_cast<double>(kOps);
 }
 
@@ -721,6 +755,17 @@ std::vector<BenchDef> make_benches(milliseconds scenario_ms) {
        [] { return bench_synchro_rmw_ns("rbtree"); }},
       {"synchro_skiplist_rmw_ns", "ns_per_op", "lower", true, false,
        [] { return bench_synchro_rmw_ns("skiplist"); }},
+      // Per-structure scan cells: recorded, not gated.
+      {"synchro_btree_scan_ns", "ns_per_op", "lower", false, false,
+       [] { return bench_synchro_scan_ns("btree"); }},
+      {"synchro_hashmap_scan_ns", "ns_per_op", "lower", false, false,
+       [] { return bench_synchro_scan_ns("hashmap"); }},
+      {"synchro_list_scan_ns", "ns_per_op", "lower", false, false,
+       [] { return bench_synchro_scan_ns("list"); }},
+      {"synchro_rbtree_scan_ns", "ns_per_op", "lower", false, false,
+       [] { return bench_synchro_scan_ns("rbtree"); }},
+      {"synchro_skiplist_scan_ns", "ns_per_op", "lower", false, false,
+       [] { return bench_synchro_scan_ns("skiplist"); }},
       // Traffic subsystem: the sampler and the closed-loop request costs
       // are stable single-threaded micro paths (gated); schedule
       // generation is allocation-heavy and only recorded.
@@ -780,11 +825,13 @@ std::vector<std::string> suite_members(const std::string& suite) {
             "stm_commit_profiler_disarmed_pct"};
   }
   if (suite == "micro_tds") {
-    // One RMW cell per data structure in src/tds/ (same op sequence, same
-    // seed); docs/datastructures.md reads these side by side.
-    return {"synchro_btree_rmw_ns", "synchro_hashmap_rmw_ns",
-            "synchro_list_rmw_ns", "synchro_rbtree_rmw_ns",
-            "synchro_skiplist_rmw_ns"};
+    // One RMW and one scan cell per data structure in src/tds/ (same op
+    // sequence, same seed); docs/datastructures.md reads these side by side.
+    return {"synchro_btree_rmw_ns",    "synchro_hashmap_rmw_ns",
+            "synchro_list_rmw_ns",     "synchro_rbtree_rmw_ns",
+            "synchro_skiplist_rmw_ns", "synchro_btree_scan_ns",
+            "synchro_hashmap_scan_ns", "synchro_list_scan_ns",
+            "synchro_rbtree_scan_ns",  "synchro_skiplist_scan_ns"};
   }
   if (suite == "micro_traffic") {
     // Traffic generator + KV service hot paths (src/traffic/).

@@ -53,22 +53,25 @@ void MalleablePool::worker_loop(Worker& worker) {
     }
     // Quiescence fence (run_quiesced): announce entry into the task region
     // *before* re-checking paused_ — seq_cst on both sides means either the
-    // quiescer sees our in_task_ increment or we see its paused_ store, so
-    // no task can slip past a quiescent-point callback.
+    // quiescer sees our in_task flag or we see its paused_ store, so no task
+    // can slip past a quiescent-point callback. The flag is this worker's
+    // own cache line, so the fence costs no shared RMW; leaving is a release
+    // store the quiescer's load acquires.
     if (paused_.load(std::memory_order_seq_cst)) {
       std::this_thread::yield();
       continue;  // stopping_ is re-checked at the loop top
     }
-    in_task_.fetch_add(1, std::memory_order_seq_cst);
+    auto& in_task = worker.in_task.value;
+    in_task.store(true, std::memory_order_seq_cst);
     if (paused_.load(std::memory_order_seq_cst)) {
-      in_task_.fetch_sub(1, std::memory_order_seq_cst);
+      in_task.store(false, std::memory_order_release);
       std::this_thread::yield();
       continue;
     }
     // Finite workloads: the bag is empty, this worker retires (§3: the
     // worker "can then terminate"). run_task is never called after done().
     if (workload_.done()) {
-      in_task_.fetch_sub(1, std::memory_order_seq_cst);
+      in_task.store(false, std::memory_order_release);
       break;
     }
     workload_.run_task(ctx, rng);
@@ -76,7 +79,7 @@ void MalleablePool::worker_loop(Worker& worker) {
     auto& counter = worker.completed.value;
     counter.store(counter.load(std::memory_order_relaxed) + 1,
                   std::memory_order_relaxed);
-    in_task_.fetch_sub(1, std::memory_order_seq_cst);
+    in_task.store(false, std::memory_order_release);
   }
 }
 
@@ -109,10 +112,13 @@ void MalleablePool::set_level(int new_level) {
 
 void MalleablePool::run_quiesced(const std::function<void()>& fn) {
   paused_.store(true, std::memory_order_seq_cst);
-  // Wait for in-flight tasks to drain. Parked workers hold no task; active
-  // ones finish their current run_task and then spin at the fence.
-  while (in_task_.load(std::memory_order_seq_cst) != 0) {
-    std::this_thread::yield();
+  // Wait for in-flight tasks to drain, one worker at a time. Parked workers
+  // hold no task; active ones finish their current run_task and then spin
+  // at the fence, so a flag seen clear stays clear until paused_ drops.
+  for (const auto& worker : workers_) {
+    while (worker->in_task.value.load(std::memory_order_seq_cst)) {
+      std::this_thread::yield();
+    }
   }
   try {
     fn();

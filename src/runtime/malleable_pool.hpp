@@ -9,7 +9,9 @@
 // acquisition fast path is therefore syscall-free (paper §3.1).
 //
 // Throughput accounting: one cache-line-padded counter per worker, written
-// only by its owner (no atomic RMW, §3.1), read by the monitor.
+// only by its owner (no atomic RMW, §3.1), read by the monitor. The
+// run_quiesced fence is per worker too, so the task path touches no word
+// that another worker writes.
 #pragma once
 
 #include <atomic>
@@ -83,6 +85,9 @@ class MalleablePool {
     const int tid;
     std::counting_semaphore<1 << 20> semaphore{0};  // Alg. 1 line 4
     util::CacheAligned<std::atomic<std::uint64_t>> completed{0};
+    // Set while the worker is inside the task region; the owner's half of
+    // the run_quiesced handshake.
+    util::CacheAligned<std::atomic<bool>> in_task{false};
     std::thread thread;
   };
 
@@ -95,10 +100,9 @@ class MalleablePool {
   alignas(util::kCacheLineSize) std::atomic<int> level_;
   std::atomic<bool> stopping_{false};
   std::atomic<int> blocked_{0};
-  // run_quiesced handshake (seq_cst Dekker with in_task_): workers that see
-  // paused_ spin at the gate instead of entering run_task.
+  // run_quiesced handshake (seq_cst Dekker with each Worker::in_task):
+  // workers that see paused_ spin at the gate instead of entering run_task.
   std::atomic<bool> paused_{false};
-  std::atomic<int> in_task_{0};
   std::vector<std::unique_ptr<Worker>> workers_;
 };
 

@@ -14,7 +14,6 @@ TBTree::TBTree() {
   root->count.unsafe_write(0);
   root->next.unsafe_write(nullptr);
   root_.unsafe_write(root);
-  size_.unsafe_write(0);
 }
 
 TBTree::~TBTree() {
@@ -188,7 +187,7 @@ bool TBTree::insert(Txn& tx, std::int64_t key, std::int64_t value) {
     nr->kids[1].unsafe_write(s.right);
     root_.write(tx, nr);
   }
-  if (inserted) size_.write(tx, size_.read(tx) + 1);
+  if (inserted) size_.add(tx, key, 1);
   return inserted;
 }
 
@@ -210,7 +209,7 @@ bool TBTree::remove(Txn& tx, std::int64_t key) {
     leaf->vals[i].write(tx, leaf->vals[i + 1].read(tx));
   }
   leaf->count.write(tx, count - 1);
-  size_.write(tx, size_.read(tx) - 1);
+  size_.add(tx, key, -1);
   return true;
 }
 
@@ -232,7 +231,7 @@ std::size_t TBTree::range_scan(Txn& tx, std::int64_t lo, std::int64_t hi,
   return visited;
 }
 
-std::int64_t TBTree::size(Txn& tx) const { return size_.read(tx); }
+std::int64_t TBTree::size(Txn& tx) const { return size_.sum(tx); }
 
 std::size_t TBTree::unsafe_size() const {
   std::size_t count = 0;
@@ -259,7 +258,7 @@ bool TBTree::check_invariants(std::string* error) const {
   // Recursive bounded walk: every key within its separator bounds, in-node
   // keys sorted, uniform leaf depth, leaves collected left-to-right.
   std::vector<const Node*> leaves;
-  std::int64_t entries = 0;
+  std::vector<std::int64_t> tally(size_.shard_count());
   int leaf_depth = -1;
   // Depth-first with an explicit left-to-right ordering for leaf collection.
   std::string msg;
@@ -282,6 +281,7 @@ bool TBTree::check_invariants(std::string* error) const {
         return false;
       }
       prev = k;
+      if (n->leaf != 0) ++tally[size_.shard_of(k)];
     }
     if (n->leaf != 0) {
       if (leaf_depth < 0) leaf_depth = depth;
@@ -291,7 +291,6 @@ bool TBTree::check_invariants(std::string* error) const {
         return false;
       }
       leaves.push_back(n);
-      entries += count;
       return true;
     }
     if (count == 0) {
@@ -327,10 +326,7 @@ bool TBTree::check_invariants(std::string* error) const {
   if (idx != leaves.size()) {
     return fail("leaf chain shorter than in-order leaf count");
   }
-  if (entries != size_.unsafe_read()) {
-    return fail("size counter " + std::to_string(size_.unsafe_read()) +
-                " != counted " + std::to_string(entries));
-  }
+  if (!size_.check(tally, &msg)) return fail(msg);
   return true;
 }
 

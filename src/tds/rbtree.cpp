@@ -19,7 +19,6 @@ RbTree::RbTree() {
   nil_->parent.unsafe_write(nil_);
   nil_->color.unsafe_write(kBlack);
   root_.unsafe_write(nil_);
-  size_.unsafe_write(0);
 }
 
 RbTree::~RbTree() {
@@ -123,7 +122,7 @@ std::size_t RbTree::range_scan(Txn& tx, std::int64_t lo, std::int64_t hi,
   return visited;
 }
 
-std::int64_t RbTree::size(Txn& tx) const { return size_.read(tx); }
+std::int64_t RbTree::size(Txn& tx) const { return size_.sum(tx); }
 
 void RbTree::rotate_left(Txn& tx, Node* x) {
   Node* y = x->right.read(tx);
@@ -187,7 +186,7 @@ bool RbTree::insert(Txn& tx, std::int64_t key, std::int64_t value) {
     parent->right.write(tx, z);
   }
   insert_fixup(tx, z);
-  size_.write(tx, size_.read(tx) + 1);
+  size_.add(tx, key, 1);
   return true;
 }
 
@@ -301,7 +300,7 @@ bool RbTree::erase(Txn& tx, std::int64_t key) {
   }
   if (y_original_color == kBlack) erase_fixup(tx, x);
   tx.free(z);
-  size_.write(tx, size_.read(tx) - 1);
+  size_.add(tx, key, -1);
   return true;
 }
 
@@ -368,7 +367,7 @@ void RbTree::erase_fixup(Txn& tx, Node* x) {
 }
 
 std::size_t RbTree::unsafe_size() const {
-  return static_cast<std::size_t>(size_.unsafe_read());
+  return static_cast<std::size_t>(size_.unsafe_sum());
 }
 
 bool RbTree::check_invariants(std::string* error) const {
@@ -377,23 +376,12 @@ bool RbTree::check_invariants(std::string* error) const {
     return false;
   };
   if (nil_->color.unsafe_read() != kBlack) return fail("sentinel is not black");
+  // An empty tree's root is the (black) sentinel.
   Node* root = root_.unsafe_read();
-  if (is_nil(root)) {
-    if (size_.unsafe_read() != 0) return fail("empty tree with non-zero size");
-    return true;
-  }
   if (root->color.unsafe_read() != kBlack) return fail("root is not black");
 
   // Iterative DFS computing black heights and verifying order/colors.
-  struct Frame {
-    const Node* node;
-    std::int64_t lo;
-    std::int64_t hi;
-    bool has_lo;
-    bool has_hi;
-  };
-  std::vector<Frame> stack{{root, 0, 0, false, false}};
-  std::size_t count = 0;
+  std::vector<std::int64_t> tally(size_.shard_count());
   long expected_black_height = -1;
   // Black height is validated by walking to each nil leaf; to avoid
   // exponential revisits we compute it along the DFS path.
@@ -404,7 +392,6 @@ bool RbTree::check_invariants(std::string* error) const {
     bool has_lo, has_hi;
   };
   std::vector<PathFrame> dfs{{root, 0, 0, 0, false, false}};
-  stack.clear();
   while (!dfs.empty()) {
     auto [n, bd, lo, hi, has_lo, has_hi] = dfs.back();
     dfs.pop_back();
@@ -413,8 +400,8 @@ bool RbTree::check_invariants(std::string* error) const {
       if (bd != expected_black_height) return fail("black heights differ");
       continue;
     }
-    ++count;
     const std::int64_t k = n->key.unsafe_read();
+    ++tally[size_.shard_of(k)];
     if (has_lo && k <= lo) return fail("BST order violated (low bound)");
     if (has_hi && k >= hi) return fail("BST order violated (high bound)");
     const bool red = n->color.unsafe_read() == kRed;
@@ -430,9 +417,7 @@ bool RbTree::check_invariants(std::string* error) const {
     dfs.push_back({n->left.unsafe_read(), child_bd, lo, k, has_lo, true});
     dfs.push_back({n->right.unsafe_read(), child_bd, k, hi, true, has_hi});
   }
-  if (count != static_cast<std::size_t>(size_.unsafe_read())) {
-    return fail("size counter does not match node count");
-  }
+  if (std::string msg; !size_.check(tally, &msg)) return fail(msg);
   return true;
 }
 

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/stm/stm.hpp"
+#include "src/tds/sharded_counter.hpp"
 #include "src/tds/tmap.hpp"
 
 namespace rubic::tds {
@@ -69,9 +70,12 @@ class RbTree {
     }
   }
   // Validates BST order, red-red absence, black-height balance, sentinel
-  // blackness and the size counter. On failure writes a diagnostic to
-  // `error` (if given) and returns false.
+  // blackness and every size-counter shard. On failure writes a diagnostic
+  // to `error` (if given) and returns false.
   bool check_invariants(std::string* error = nullptr) const;
+  // The key-sharded size counter; writing it outside insert/erase breaks
+  // check_invariants, which is what the corruption tests do.
+  ShardedCounter& size_counter() noexcept { return size_; }
 
  private:
   struct Node {
@@ -103,7 +107,7 @@ class RbTree {
 
   Node* nil_;  // shared sentinel: black, fields mutated during fixups
   stm::TVar<Node*> root_;
-  stm::TVar<std::int64_t> size_;
+  ShardedCounter size_;
 };
 
 }  // namespace rubic::tds

@@ -1,6 +1,7 @@
 #include "src/tds/skiplist.hpp"
 
 #include <new>
+#include <vector>
 
 namespace rubic::tds {
 
@@ -26,7 +27,6 @@ TSkipList::TSkipList(std::uint64_t seed) : seed_(seed) {
   for (int lvl = 0; lvl < kMaxHeight; ++lvl) {
     head_->next[lvl].unsafe_write(nullptr);
   }
-  size_.unsafe_write(0);
 }
 
 TSkipList::~TSkipList() {
@@ -93,7 +93,7 @@ bool TSkipList::insert(Txn& tx, std::int64_t key, std::int64_t value) {
   for (int lvl = 0; lvl < h; ++lvl) {
     preds[lvl]->next[lvl].write(tx, node);
   }
-  size_.write(tx, size_.read(tx) + 1);
+  size_.add(tx, key, 1);
   return true;
 }
 
@@ -106,7 +106,7 @@ bool TSkipList::remove(Txn& tx, std::int64_t key) {
     preds[lvl]->next[lvl].write(tx, victim->next[lvl].read(tx));
   }
   tx.free(victim);
-  size_.write(tx, size_.read(tx) - 1);
+  size_.add(tx, key, -1);
   return true;
 }
 
@@ -125,7 +125,7 @@ std::size_t TSkipList::range_scan(Txn& tx, std::int64_t lo, std::int64_t hi,
   return visited;
 }
 
-std::int64_t TSkipList::size(Txn& tx) const { return size_.read(tx); }
+std::int64_t TSkipList::size(Txn& tx) const { return size_.sum(tx); }
 
 std::size_t TSkipList::unsafe_size() const {
   std::size_t count = 0;
@@ -149,7 +149,7 @@ bool TSkipList::check_invariants(std::string* error) const {
     return false;
   };
   // Level 0: strictly ascending keys, seeded tower heights, counted size.
-  std::int64_t count = 0;
+  std::vector<std::int64_t> tally(size_.shard_count());
   const Node* prev = nullptr;
   for (const Node* n = head_->next[0].unsafe_read(); n != nullptr;
        n = n->next[0].unsafe_read()) {
@@ -167,12 +167,9 @@ bool TSkipList::check_invariants(std::string* error) const {
                   " tower height does not match the seeded draw");
     }
     prev = n;
-    ++count;
+    ++tally[size_.shard_of(k)];
   }
-  if (count != size_.unsafe_read()) {
-    return fail("size counter " + std::to_string(size_.unsafe_read()) +
-                " != counted " + std::to_string(count));
-  }
+  if (std::string msg; !size_.check(tally, &msg)) return fail(msg);
   // Higher levels: each is a sorted sub-list whose nodes all have
   // sufficient height (and are therefore present at every lower level too).
   for (int lvl = 1; lvl < kMaxHeight; ++lvl) {

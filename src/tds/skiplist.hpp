@@ -8,7 +8,8 @@
 // check_invariants exploits.
 //
 // Conflict footprint: an insert/remove writes the tower-height many
-// predecessor links plus the size counter; a lookup reads O(log n) links on
+// predecessor links plus its key's size-counter shard; a lookup reads
+// O(log n) links on
 // its descent. Compared to the red-black tree there are no rotations, so
 // writers touch a localized column instead of a rebalancing path.
 #pragma once
@@ -17,6 +18,7 @@
 #include <optional>
 #include <string>
 
+#include "src/tds/sharded_counter.hpp"
 #include "src/tds/tmap.hpp"
 
 namespace rubic::tds {
@@ -41,8 +43,12 @@ class TSkipList final : public TMap {
   std::size_t unsafe_size() const override;
   void unsafe_for_each(const ScanFn& fn) const override;
   // Level-0 strictly ascending; every higher level a sorted subsequence of
-  // level 0; tower heights match the seeded draw; size counter consistent.
+  // level 0; tower heights match the seeded draw; every size-counter shard
+  // consistent.
   bool check_invariants(std::string* error = nullptr) const override;
+  // The key-sharded size counter; writing it outside insert/remove breaks
+  // check_invariants, which is what the corruption tests do.
+  ShardedCounter& size_counter() noexcept { return size_; }
 
   // Deterministic tower height for `key` in [1, kMaxHeight]; exposed so
   // tests can pin the expected shape.
@@ -65,7 +71,7 @@ class TSkipList final : public TMap {
                    Node* preds[kMaxHeight]) const;
 
   Node* head_;  // sentinel tower of full height, key irrelevant
-  stm::TVar<std::int64_t> size_;
+  ShardedCounter size_;
   std::uint64_t seed_;
 };
 

@@ -8,15 +8,10 @@ namespace rubic::tds {
 
 using stm::Txn;
 
-THashMap::THashMap(std::size_t buckets, std::size_t counter_shards) {
-  const std::size_t bucket_count = std::bit_ceil(std::max<std::size_t>(buckets, 2));
-  const std::size_t shard_count =
-      std::bit_ceil(std::max<std::size_t>(counter_shards, 1));
-  buckets_ = std::vector<Bucket>(bucket_count);
-  shards_ = std::vector<stm::TVar<std::int64_t>>(shard_count);
-  shift_ = 64 - std::countr_zero(bucket_count);
-  shard_shift_ = std::countr_zero(shard_count);
-}
+THashMap::THashMap(std::size_t buckets, std::size_t counter_shards)
+    : buckets_(std::bit_ceil(std::max<std::size_t>(buckets, 2))),
+      size_(counter_shards),
+      shift_(64 - std::countr_zero(buckets_.size())) {}
 
 THashMap::~THashMap() {
   for (const auto& bucket : buckets_) {
@@ -56,8 +51,7 @@ bool THashMap::insert(Txn& tx, std::int64_t key, std::int64_t value) {
   node->value.unsafe_write(value);
   node->next.unsafe_write(bucket.head.read(tx));
   bucket.head.write(tx, node);
-  auto& shard = shard_for(key);
-  shard.write(tx, shard.read(tx) + 1);
+  size_.add(tx, key, 1);
   return true;
 }
 
@@ -82,8 +76,7 @@ bool THashMap::erase(Txn& tx, std::int64_t key) {
         prev->next.write(tx, next);
       }
       tx.free(node);
-      auto& shard = shard_for(key);
-      shard.write(tx, shard.read(tx) - 1);
+      size_.add(tx, key, -1);
       return true;
     }
     prev = node;
@@ -91,16 +84,10 @@ bool THashMap::erase(Txn& tx, std::int64_t key) {
   return false;
 }
 
-std::int64_t THashMap::size(Txn& tx) const {
-  std::int64_t total = 0;
-  for (const auto& shard : shards_) total += shard.read(tx);
-  return total;
-}
+std::int64_t THashMap::size(Txn& tx) const { return size_.sum(tx); }
 
 std::size_t THashMap::unsafe_size() const {
-  std::int64_t total = 0;
-  for (const auto& shard : shards_) total += shard.unsafe_read();
-  return static_cast<std::size_t>(total);
+  return static_cast<std::size_t>(size_.unsafe_sum());
 }
 
 bool THashMap::check_invariants(std::string* error) const {
@@ -108,23 +95,23 @@ bool THashMap::check_invariants(std::string* error) const {
     if (error != nullptr) *error = msg;
     return false;
   };
+  const std::size_t recorded = unsafe_size();
   std::size_t counted = 0;
+  std::vector<std::int64_t> tally(size_.shard_count());
   for (std::size_t b = 0; b < buckets_.size(); ++b) {
     for (const Node* node = buckets_[b].head.unsafe_read(); node != nullptr;
          node = node->next.unsafe_read()) {
-      ++counted;
-      if (bucket_index(node->key.unsafe_read()) != b) {
+      const std::int64_t key = node->key.unsafe_read();
+      if (bucket_index(key) != b) {
         return fail("key hashed to a different bucket than it lives in");
       }
-      if (counted > unsafe_size() + buckets_.size() * 4 + 1024) {
+      if (++counted > recorded + buckets_.size() * 4 + 1024) {
         return fail("chain cycle suspected");
       }
+      ++tally[size_.shard_of(key)];
     }
   }
-  if (counted != unsafe_size()) {
-    return fail("sharded size " + std::to_string(unsafe_size()) +
-                " != counted nodes " + std::to_string(counted));
-  }
+  if (std::string msg; !size_.check(tally, &msg)) return fail(msg);
   return true;
 }
 

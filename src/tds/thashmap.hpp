@@ -6,9 +6,9 @@
 // TVar links. Distinct buckets never conflict, so the map scales until the
 // key distribution or the size counter says otherwise.
 //
-// The size counter is sharded (one TVar per stripe) precisely because a
-// single counter would serialize every insert/erase — the same hotspot
-// effect TQueue demonstrates deliberately.
+// The size counter is the key-sharded ShardedCounter every structure uses,
+// because a single counter would serialize every insert/erase — the same
+// hotspot effect TQueue demonstrates deliberately.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/stm/stm.hpp"
+#include "src/tds/sharded_counter.hpp"
 #include "src/util/check.hpp"
 
 namespace rubic::tds {
@@ -24,8 +25,9 @@ class THashMap {
  public:
   // `buckets` is rounded up to a power of two. `counter_shards` trades
   // size() cost for insert/erase disjointness.
-  explicit THashMap(std::size_t buckets = 1024,
-                    std::size_t counter_shards = 16);
+  explicit THashMap(
+      std::size_t buckets = 1024,
+      std::size_t counter_shards = ShardedCounter::kDefaultShards);
   ~THashMap();
 
   THashMap(const THashMap&) = delete;
@@ -54,8 +56,11 @@ class THashMap {
       }
     }
   }
-  // Chain lengths and shard counters must be consistent.
+  // Every key in its bucket, every size-counter shard consistent.
   bool check_invariants(std::string* error = nullptr) const;
+  // The key-sharded size counter; writing it outside insert/erase breaks
+  // check_invariants, which is what the corruption tests do.
+  ShardedCounter& size_counter() noexcept { return size_; }
   std::size_t bucket_count() const noexcept { return buckets_.size(); }
 
  private:
@@ -73,22 +78,13 @@ class THashMap {
         static_cast<std::uint64_t>(key) * 0x9e3779b97f4a7c15ULL;
     return static_cast<std::size_t>(h >> shift_);
   }
-  stm::TVar<std::int64_t>& shard_for(std::int64_t key) noexcept {
-    return shards_[static_cast<std::size_t>(
-        (static_cast<std::uint64_t>(key) * 0xd1b54a32d192ed03ULL) >>
-        (64 - shard_shift_))];
-  }
-  const stm::TVar<std::int64_t>& shard_for(std::int64_t key) const noexcept {
-    return const_cast<THashMap*>(this)->shard_for(key);
-  }
   // Finds the node for key, or nullptr; in either case also reports the
   // predecessor's next-link for mutation.
   Node* find_node(stm::Txn& tx, std::int64_t key) const;
 
   std::vector<Bucket> buckets_;
-  std::vector<stm::TVar<std::int64_t>> shards_;
-  int shift_;        // 64 - log2(buckets)
-  int shard_shift_;  // log2(shards)
+  ShardedCounter size_;
+  int shift_;  // 64 - log2(buckets)
 };
 
 }  // namespace rubic::tds

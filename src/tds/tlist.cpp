@@ -1,5 +1,7 @@
 #include "src/tds/tlist.hpp"
 
+#include <vector>
+
 namespace rubic::tds {
 
 using stm::Txn;
@@ -10,7 +12,6 @@ TList::TList() {
   head_->key.unsafe_write(INT64_MIN);
   head_->value.unsafe_write(0);
   head_->next.unsafe_write(nullptr);
-  size_.unsafe_write(0);
 }
 
 TList::~TList() {
@@ -54,7 +55,7 @@ bool TList::insert(Txn& tx, std::int64_t key, std::int64_t value) {
   node->value.unsafe_write(value);
   node->next.unsafe_write(next);
   prev->next.write(tx, node);
-  size_.write(tx, size_.read(tx) + 1);
+  size_.add(tx, key, 1);
   return true;
 }
 
@@ -64,11 +65,11 @@ bool TList::erase(Txn& tx, std::int64_t key) {
   if (node == nullptr || node->key.read(tx) != key) return false;
   prev->next.write(tx, node->next.read(tx));
   tx.free(node);
-  size_.write(tx, size_.read(tx) - 1);
+  size_.add(tx, key, -1);
   return true;
 }
 
-std::int64_t TList::size(Txn& tx) const { return size_.read(tx); }
+std::int64_t TList::size(Txn& tx) const { return size_.sum(tx); }
 
 std::size_t TList::range_scan(Txn& tx, std::int64_t lo, std::int64_t hi,
                               const ScanFn& fn) const {
@@ -85,7 +86,7 @@ std::size_t TList::range_scan(Txn& tx, std::int64_t lo, std::int64_t hi,
 }
 
 std::size_t TList::unsafe_size() const {
-  return static_cast<std::size_t>(size_.unsafe_read());
+  return static_cast<std::size_t>(size_.unsafe_sum());
 }
 
 bool TList::check_invariants(std::string* error) const {
@@ -93,7 +94,9 @@ bool TList::check_invariants(std::string* error) const {
     if (error != nullptr) *error = msg;
     return false;
   };
+  const std::size_t recorded = unsafe_size();
   std::size_t counted = 0;
+  std::vector<std::int64_t> tally(size_.shard_count());
   std::int64_t last_key = INT64_MIN;
   bool first = true;
   for (const Node* node = head_->next.unsafe_read(); node != nullptr;
@@ -102,12 +105,10 @@ bool TList::check_invariants(std::string* error) const {
     if (!first && key <= last_key) return fail("keys not strictly ascending");
     first = false;
     last_key = key;
-    if (++counted > unsafe_size() + 1) return fail("more nodes than size");
+    if (++counted > recorded + 1) return fail("more nodes than size");
+    ++tally[size_.shard_of(key)];
   }
-  if (counted != unsafe_size()) {
-    return fail("size counter mismatch: counted " + std::to_string(counted) +
-                " vs " + std::to_string(unsafe_size()));
-  }
+  if (std::string msg; !size_.check(tally, &msg)) return fail(msg);
   return true;
 }
 

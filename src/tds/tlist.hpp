@@ -13,6 +13,7 @@
 #include <string>
 
 #include "src/stm/stm.hpp"
+#include "src/tds/sharded_counter.hpp"
 #include "src/tds/tmap.hpp"
 
 namespace rubic::tds {
@@ -49,8 +50,11 @@ class TList {
       fn(node->key.unsafe_read(), node->value.unsafe_read());
     }
   }
-  // Strictly ascending keys, size counter consistent.
+  // Strictly ascending keys, every size-counter shard consistent.
   bool check_invariants(std::string* error = nullptr) const;
+  // The key-sharded size counter; writing it outside insert/erase breaks
+  // check_invariants, which is what the corruption tests do.
+  ShardedCounter& size_counter() noexcept { return size_; }
 
  private:
   struct Node {
@@ -63,7 +67,7 @@ class TList {
   Node* find_predecessor(stm::Txn& tx, std::int64_t key) const;
 
   Node* head_;  // sentinel, key irrelevant
-  stm::TVar<std::int64_t> size_;
+  ShardedCounter size_;
 };
 
 }  // namespace rubic::tds

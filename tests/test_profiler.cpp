@@ -399,8 +399,10 @@ TEST(ProfilerAttribution, SkipListSitesPinOneStripeAndNameTheirLabels) {
   TxnDesc& holder = rt.register_thread();
   TxnDesc& victim = rt.register_thread();
   tds::TSkipList list(/*seed=*/0x5eed);
-  // Pre-populate quiescently; every insert/remove also writes the shared
-  // size counter, which guarantees a write-write clash below.
+  // Pre-populate quiescently. Under this seed 150 has a 3-level tower and
+  // 300 a 4-level one, so the pending insert(150) below writes the head
+  // sentinel's level-1 and level-2 links, and the victim's remove(300)
+  // reads the head's level-2 link on its way down: they collide there.
   for (const std::int64_t key : {100, 200, 300}) {
     atomically(holder, [&](Txn& tx) { list.insert(tx, key, key); });
   }
@@ -413,8 +415,8 @@ TEST(ProfilerAttribution, SkipListSitesPinOneStripeAndNameTheirLabels) {
     holder.begin(true);
     Txn htx(holder);
     ASSERT_TRUE(list.insert(htx, 150, 150));
-    // Victim: a remove elsewhere in the key space still collides (size
-    // counter at the latest) and must abort at the same stripe each round.
+    // Victim: a remove elsewhere in the key space still collides (on the
+    // head's level-2 link) and must abort at the same stripe each round.
     profiler::set_current_label(victim_id);
     victim.begin(true);
     Txn vtx(victim);

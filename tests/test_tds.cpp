@@ -10,6 +10,9 @@
 //  - structure-specific shape tests for the new skiplist and B+-tree,
 //  - FIFO/ordering invariants for TQueue and TList under 4-thread
 //    concurrent transactions on every backend (previously untested here),
+//  - the sharded size counter: hand-driven pairs of inserts into disjoint
+//    parts of each ordered structure both commit on tl2 and norec, and
+//    check_invariants catches a count moved between two shards,
 //  - registry round-trips and the listing the CLI agreement rides on.
 #include <gtest/gtest.h>
 
@@ -25,8 +28,11 @@
 #include "src/stm/stm.hpp"
 #include "src/tds/btree.hpp"
 #include "src/tds/harness.hpp"
+#include "src/tds/rbtree.hpp"
 #include "src/tds/registry.hpp"
+#include "src/tds/sharded_counter.hpp"
 #include "src/tds/skiplist.hpp"
+#include "src/tds/thashmap.hpp"
 #include "src/tds/tlist.hpp"
 #include "src/tds/tqueue.hpp"
 #include "src/util/listing.hpp"
@@ -751,6 +757,224 @@ TEST(TListConcurrent, ChurnReconcilesCountsOnEveryBackend) {
     std::string error;
     EXPECT_TRUE(list.check_invariants(&error)) << error;
   }
+}
+
+// --- sharded size counter ---
+//
+// Every structure counts its keys in a ShardedCounter, so two updates of
+// keys in different shards and disjoint parts of the structure must not
+// conflict. Each test drives two transactions by hand: both begin, each
+// inserts one key, then `first` commits and `second` commits. With one
+// shared size word the second commit aborts (it read the count the first
+// one overwrote); with the sharded counter both commit.
+
+constexpr stm::BackendKind kInvisibleReadBackends[] = {stm::BackendKind::kTl2,
+                                                       stm::BackendKind::kNorec};
+
+// First key in [lo, hi) accepted by `pick`; fails the test if none is.
+template <typename Pick>
+std::int64_t first_key_in(std::int64_t lo, std::int64_t hi, Pick&& pick) {
+  for (std::int64_t k = lo; k < hi; ++k) {
+    if (pick(k)) return k;
+  }
+  ADD_FAILURE() << "no key in [" << lo << ", " << hi << ") qualifies";
+  return lo;
+}
+
+template <typename Map>
+void expect_disjoint_inserts_both_commit(stm::Runtime& rt, Map& map,
+                                         std::int64_t first,
+                                         std::int64_t second) {
+  ASSERT_NE(map.size_counter().shard_of(first),
+            map.size_counter().shard_of(second))
+      << "the two keys must land in different counter shards";
+  stm::TxnDesc& ctx = rt.register_thread();
+  const std::int64_t before =
+      stm::atomically(ctx, [&](stm::Txn& tx) { return map.size(tx); });
+  stm::TxnDesc& a = rt.register_thread();
+  stm::TxnDesc& b = rt.register_thread();
+  a.begin(true);
+  stm::Txn atx(a);
+  ASSERT_TRUE(map.insert(atx, first, first));
+  b.begin(true);
+  stm::Txn btx(b);
+  ASSERT_TRUE(map.insert(btx, second, second));
+  ASSERT_NO_THROW(a.commit());
+  bool second_committed = true;
+  try {
+    b.commit();
+  } catch (const stm::detail::AbortTx&) {
+    second_committed = false;
+    b.rollback(stm::AbortCause::kValidationFailed);
+  }
+  EXPECT_TRUE(second_committed)
+      << "inserts of " << first << " and " << second << " share no word";
+  std::string error;
+  EXPECT_TRUE(map.check_invariants(&error)) << error;
+  const std::int64_t after =
+      stm::atomically(ctx, [&](stm::Txn& tx) { return map.size(tx); });
+  EXPECT_EQ(after, before + (second_committed ? 2 : 1));
+}
+
+TEST(ShardedSize, RbTreeRedLeavesUnderBlackParentsCommitTogether) {
+  for (const auto backend : kInvisibleReadBackends) {
+    SCOPED_TRACE(std::string(stm::backend_name(backend)));
+    stm::Runtime rt(with_backend(backend));
+    stm::TxnDesc& ctx = rt.register_thread();
+    RbTree tree;
+    // 40, 20, 60, 10 leaves 40, 20 and 60 black and 10 red: a key in
+    // (20, 40) becomes 20's red right child and a key above 60 becomes 60's
+    // red right child, neither needing a fix-up.
+    for (const std::int64_t k : {40, 20, 60, 10}) {
+      stm::atomically(ctx, [&](stm::Txn& tx) { tree.insert(tx, k, k); });
+    }
+    const std::int64_t first = 30;
+    const std::int64_t second = first_key_in(61, 100, [&](std::int64_t k) {
+      return tree.size_counter().shard_of(k) !=
+             tree.size_counter().shard_of(first);
+    });
+    expect_disjoint_inserts_both_commit(rt, tree, first, second);
+  }
+}
+
+TEST(ShardedSize, BTreeInsertsIntoDifferentLeavesCommitTogether) {
+  for (const auto backend : kInvisibleReadBackends) {
+    SCOPED_TRACE(std::string(stm::backend_name(backend)));
+    stm::Runtime rt(with_backend(backend));
+    stm::TxnDesc& ctx = rt.register_thread();
+    TBTree tree;
+    // The eighth ascending insert splits the root leaf into [10..40] and
+    // [50..80]; both leaves keep room for three more keys.
+    for (std::int64_t k = 10; k <= 80; k += 10) {
+      stm::atomically(ctx, [&](stm::Txn& tx) { tree.insert(tx, k, k); });
+    }
+    const std::int64_t first = 25;
+    const std::int64_t second = first_key_in(61, 70, [&](std::int64_t k) {
+      return tree.size_counter().shard_of(k) !=
+             tree.size_counter().shard_of(first);
+    });
+    expect_disjoint_inserts_both_commit(rt, tree, first, second);
+  }
+}
+
+TEST(ShardedSize, SkipListInsertsBehindAnExpressLaneCommitTogether) {
+  for (const auto backend : kInvisibleReadBackends) {
+    SCOPED_TRACE(std::string(stm::backend_name(backend)));
+    stm::Runtime rt(with_backend(backend));
+    stm::TxnDesc& ctx = rt.register_thread();
+    TSkipList list;
+    for (std::int64_t k = 100; k <= 1600; k += 100) {
+      stm::atomically(ctx, [&](stm::Txn& tx) { list.insert(tx, k, k); });
+    }
+    // `first` is a height-1 node behind 100, so it writes only 100's
+    // level-0 link. `second` sits behind a taller node, whose level-1 lane
+    // lets the second descent skip 100 entirely.
+    const std::int64_t first = first_key_in(
+        101, 200, [&](std::int64_t k) { return list.height_for(k) == 1; });
+    const std::int64_t tall = first_key_in(2, 17, [&](std::int64_t i) {
+                                return list.height_for(i * 100) >= 2;
+                              }) * 100;
+    const std::int64_t second =
+        first_key_in(tall + 1, tall + 100, [&](std::int64_t k) {
+          return list.height_for(k) == 1 &&
+                 list.size_counter().shard_of(k) !=
+                     list.size_counter().shard_of(first);
+        });
+    expect_disjoint_inserts_both_commit(rt, list, first, second);
+  }
+}
+
+TEST(ShardedSize, ListInsertsCommitTogetherWhenTheFartherOneCommitsFirst) {
+  for (const auto backend : kInvisibleReadBackends) {
+    SCOPED_TRACE(std::string(stm::backend_name(backend)));
+    stm::Runtime rt(with_backend(backend));
+    stm::TxnDesc& ctx = rt.register_thread();
+    TList list;
+    for (std::int64_t k = 10; k <= 100; k += 10) {
+      stm::atomically(ctx, [&](stm::Txn& tx) { list.insert(tx, k, k); });
+    }
+    // The walk to 85 reads the link that the insert of `second` writes, so
+    // 85 commits first; the walk to `second` stops long before 80's link.
+    const std::int64_t first = 85;
+    const std::int64_t second = first_key_in(11, 20, [&](std::int64_t k) {
+      return list.size_counter().shard_of(k) !=
+             list.size_counter().shard_of(first);
+    });
+    expect_disjoint_inserts_both_commit(rt, list, first, second);
+  }
+}
+
+// Moves one count between two shards: the total stays right, so only the
+// per-shard check can notice.
+template <typename Map>
+void expect_moved_count_is_caught(Map& map) {
+  stm::Runtime rt(with_backend(stm::BackendKind::kTl2));
+  stm::TxnDesc& ctx = rt.register_thread();
+  for (std::int64_t k = 1; k <= 64; ++k) {
+    stm::atomically(ctx, [&](stm::Txn& tx) { map.insert(tx, k, k); });
+  }
+  ShardedCounter& counter = map.size_counter();
+  const std::int64_t from = 1;
+  const std::int64_t to = first_key_in(2, 65, [&](std::int64_t k) {
+    return counter.shard_of(k) != counter.shard_of(from);
+  });
+  std::string error;
+  ASSERT_TRUE(map.check_invariants(&error)) << error;
+  stm::atomically(ctx, [&](stm::Txn& tx) {
+    counter.add(tx, from, -1);
+    counter.add(tx, to, 1);
+  });
+  EXPECT_EQ(map.unsafe_size(), 64u) << "the total is unchanged";
+  EXPECT_FALSE(map.check_invariants(&error));
+  EXPECT_NE(error.find("size shard"), std::string::npos) << error;
+  stm::atomically(ctx, [&](stm::Txn& tx) {
+    counter.add(tx, from, 1);
+    counter.add(tx, to, -1);
+  });
+  EXPECT_TRUE(map.check_invariants(&error)) << error;
+}
+
+TEST(ShardedSize, CheckInvariantsCatchesOneTamperedShard) {
+  {
+    SCOPED_TRACE("rbtree");
+    RbTree tree;
+    expect_moved_count_is_caught(tree);
+  }
+  {
+    SCOPED_TRACE("btree");
+    TBTree tree;
+    expect_moved_count_is_caught(tree);
+  }
+  {
+    SCOPED_TRACE("skiplist");
+    TSkipList list;
+    expect_moved_count_is_caught(list);
+  }
+  {
+    SCOPED_TRACE("list");
+    TList list;
+    expect_moved_count_is_caught(list);
+  }
+  {
+    SCOPED_TRACE("hashmap");
+    THashMap map;
+    expect_moved_count_is_caught(map);
+  }
+}
+
+TEST(ShardedSize, ShardCountRoundsUpAndOneShardTakesEveryKey) {
+  EXPECT_EQ(ShardedCounter(10).shard_count(), 16u);
+  EXPECT_EQ(ShardedCounter(0).shard_count(), 1u);
+  const ShardedCounter one(1);
+  for (const std::int64_t k : {std::numeric_limits<std::int64_t>::min(),
+                               std::int64_t{-1}, std::int64_t{0},
+                               std::numeric_limits<std::int64_t>::max()}) {
+    EXPECT_EQ(one.shard_of(k), 0u);
+  }
+  const ShardedCounter many(ShardedCounter::kDefaultShards);
+  std::vector<int> hits(many.shard_count());
+  for (std::int64_t k = 0; k < 1024; ++k) ++hits[many.shard_of(k)];
+  for (const int h : hits) EXPECT_GT(h, 0) << "consecutive keys spread out";
 }
 
 }  // namespace

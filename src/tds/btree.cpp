@@ -187,7 +187,6 @@ bool TBTree::insert(Txn& tx, std::int64_t key, std::int64_t value) {
     nr->kids[1].unsafe_write(s.right);
     root_.write(tx, nr);
   }
-  if (inserted) size_.add(tx, key, 1);
   return inserted;
 }
 
@@ -209,7 +208,6 @@ bool TBTree::remove(Txn& tx, std::int64_t key) {
     leaf->vals[i].write(tx, leaf->vals[i + 1].read(tx));
   }
   leaf->count.write(tx, count - 1);
-  size_.add(tx, key, -1);
   return true;
 }
 
@@ -231,7 +229,14 @@ std::size_t TBTree::range_scan(Txn& tx, std::int64_t lo, std::int64_t hi,
   return visited;
 }
 
-std::int64_t TBTree::size(Txn& tx) const { return size_.sum(tx); }
+std::int64_t TBTree::size(Txn& tx) const {
+  // Down the leftmost spine, then along the leaf chain.
+  const Node* n = root_.read(tx);
+  while (n->leaf == 0) n = n->kids[0].read(tx);
+  std::int64_t total = 0;
+  for (; n != nullptr; n = n->next.read(tx)) total += n->count.read(tx);
+  return total;
+}
 
 std::size_t TBTree::unsafe_size() const {
   std::size_t count = 0;
@@ -258,7 +263,6 @@ bool TBTree::check_invariants(std::string* error) const {
   // Recursive bounded walk: every key within its separator bounds, in-node
   // keys sorted, uniform leaf depth, leaves collected left-to-right.
   std::vector<const Node*> leaves;
-  std::vector<std::int64_t> tally(size_.shard_count());
   int leaf_depth = -1;
   // Depth-first with an explicit left-to-right ordering for leaf collection.
   std::string msg;
@@ -281,7 +285,6 @@ bool TBTree::check_invariants(std::string* error) const {
         return false;
       }
       prev = k;
-      if (n->leaf != 0) ++tally[size_.shard_of(k)];
     }
     if (n->leaf != 0) {
       if (leaf_depth < 0) leaf_depth = depth;
@@ -326,7 +329,6 @@ bool TBTree::check_invariants(std::string* error) const {
   if (idx != leaves.size()) {
     return fail("leaf chain shorter than in-order leaf count");
   }
-  if (!size_.check(tally, &msg)) return fail(msg);
   return true;
 }
 

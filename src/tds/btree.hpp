@@ -20,7 +20,6 @@
 #include <optional>
 #include <string>
 
-#include "src/tds/sharded_counter.hpp"
 #include "src/tds/tmap.hpp"
 
 namespace rubic::tds {
@@ -44,12 +43,9 @@ class TBTree final : public TMap {
 
   std::size_t unsafe_size() const override;
   void unsafe_for_each(const ScanFn& fn) const override;
-  // In-node sorted order, separator bounds, uniform leaf depth, leaf-chain
-  // order and every size-counter shard.
+  // In-node sorted order, separator bounds, uniform leaf depth and
+  // leaf-chain order.
   bool check_invariants(std::string* error = nullptr) const override;
-  // The key-sharded size counter; writing it outside insert/remove breaks
-  // check_invariants, which is what the corruption tests do.
-  ShardedCounter& size_counter() noexcept { return size_; }
 
   // Maximum children per inner node; kFanout-1 keys per node.
   static constexpr int kFanout = 8;
@@ -81,7 +77,6 @@ class TBTree final : public TMap {
                   Split* out);
 
   stm::TVar<Node*> root_;
-  ShardedCounter size_;
 };
 
 }  // namespace rubic::tds

@@ -122,7 +122,22 @@ std::size_t RbTree::range_scan(Txn& tx, std::int64_t lo, std::int64_t hi,
   return visited;
 }
 
-std::int64_t RbTree::size(Txn& tx) const { return size_.sum(tx); }
+std::int64_t RbTree::size(Txn& tx) const {
+  Node* stack[kMaxScanDepth];
+  std::size_t depth = 0;
+  std::int64_t count = 0;
+  // In-order walk that reads only the child links.
+  Node* n = root_.read(tx);
+  while (true) {
+    for (; !is_nil(n); n = n->left.read(tx)) {
+      if (depth == kMaxScanDepth) tx.retry();
+      stack[depth++] = n;
+    }
+    if (depth == 0) return count;
+    ++count;
+    n = stack[--depth]->right.read(tx);
+  }
+}
 
 void RbTree::rotate_left(Txn& tx, Node* x) {
   Node* y = x->right.read(tx);
@@ -186,7 +201,6 @@ bool RbTree::insert(Txn& tx, std::int64_t key, std::int64_t value) {
     parent->right.write(tx, z);
   }
   insert_fixup(tx, z);
-  size_.add(tx, key, 1);
   return true;
 }
 
@@ -244,7 +258,7 @@ void RbTree::insert_fixup(Txn& tx, Node* z) {
   if (root->color.read(tx) != kBlack) root->color.write(tx, kBlack);
 }
 
-void RbTree::transplant(Txn& tx, Node* u, Node* v) {
+RbTree::Node* RbTree::transplant(Txn& tx, Node* u, Node* v) {
   Node* up = u->parent.read(tx);
   if (is_nil(up)) {
     root_.write(tx, v);
@@ -253,7 +267,8 @@ void RbTree::transplant(Txn& tx, Node* u, Node* v) {
   } else {
     up->right.write(tx, v);
   }
-  v->parent.write(tx, up);  // sentinel's parent is deliberately mutated
+  if (!is_nil(v)) v->parent.write(tx, up);
+  return up;
 }
 
 RbTree::Node* RbTree::minimum(Txn& tx, Node* n) const {
@@ -269,63 +284,61 @@ bool RbTree::erase(Txn& tx, std::int64_t key) {
   Node* z = find_node(tx, key);
   if (z == nullptr) return false;
 
+  // x takes the place of the node that leaves its position and may be the
+  // sentinel, so its parent xp is tracked here rather than stored in x
+  // (the x_parent of libstdc++'s _Rb_tree_rebalance_for_erase).
   Node* y = z;
   std::uint64_t y_original_color = y->color.read(tx);
   Node* x;
+  Node* xp;
   Node* zl = z->left.read(tx);
   Node* zr = z->right.read(tx);
-  if (is_nil(zl)) {
-    x = zr;
-    transplant(tx, z, zr);
-  } else if (is_nil(zr)) {
-    x = zl;
-    transplant(tx, z, zl);
+  if (is_nil(zl) || is_nil(zr)) {
+    x = is_nil(zl) ? zr : zl;
+    xp = transplant(tx, z, x);
   } else {
     y = minimum(tx, zr);
     y_original_color = y->color.read(tx);
     x = y->right.read(tx);
-    if (y->parent.read(tx) == z) {
-      x->parent.write(tx, y);
+    if (y == zr) {
+      xp = y;
     } else {
-      transplant(tx, y, x);
-      Node* zr2 = z->right.read(tx);
-      y->right.write(tx, zr2);
-      zr2->parent.write(tx, y);
+      xp = transplant(tx, y, x);
+      y->right.write(tx, zr);
+      zr->parent.write(tx, y);
     }
     transplant(tx, z, y);
-    Node* zl2 = z->left.read(tx);
-    y->left.write(tx, zl2);
-    zl2->parent.write(tx, y);
+    y->left.write(tx, zl);
+    zl->parent.write(tx, y);
     y->color.write(tx, z->color.read(tx));
   }
-  if (y_original_color == kBlack) erase_fixup(tx, x);
+  if (y_original_color == kBlack) erase_fixup(tx, x, xp);
   tx.free(z);
-  size_.add(tx, key, -1);
   return true;
 }
 
-void RbTree::erase_fixup(Txn& tx, Node* x) {
+void RbTree::erase_fixup(Txn& tx, Node* x, Node* xp) {
+  // A rotation at xp or at x's sibling keeps xp as x's parent, so xp moves
+  // only when x moves up.
   while (x != root_.read(tx) && x->color.read(tx) == kBlack) {
-    Node* xp = x->parent.read(tx);
     if (x == xp->left.read(tx)) {
       Node* w = xp->right.read(tx);
       if (w->color.read(tx) == kRed) {
         w->color.write(tx, kBlack);
         xp->color.write(tx, kRed);
         rotate_left(tx, xp);
-        xp = x->parent.read(tx);
         w = xp->right.read(tx);
       }
       if (w->left.read(tx)->color.read(tx) == kBlack &&
           w->right.read(tx)->color.read(tx) == kBlack) {
         w->color.write(tx, kRed);
         x = xp;
+        xp = x->parent.read(tx);
       } else {
         if (w->right.read(tx)->color.read(tx) == kBlack) {
           w->left.read(tx)->color.write(tx, kBlack);
           w->color.write(tx, kRed);
           rotate_right(tx, w);
-          xp = x->parent.read(tx);
           w = xp->right.read(tx);
         }
         w->color.write(tx, xp->color.read(tx));
@@ -340,19 +353,18 @@ void RbTree::erase_fixup(Txn& tx, Node* x) {
         w->color.write(tx, kBlack);
         xp->color.write(tx, kRed);
         rotate_right(tx, xp);
-        xp = x->parent.read(tx);
         w = xp->left.read(tx);
       }
       if (w->right.read(tx)->color.read(tx) == kBlack &&
           w->left.read(tx)->color.read(tx) == kBlack) {
         w->color.write(tx, kRed);
         x = xp;
+        xp = x->parent.read(tx);
       } else {
         if (w->left.read(tx)->color.read(tx) == kBlack) {
           w->right.read(tx)->color.write(tx, kBlack);
           w->color.write(tx, kRed);
           rotate_left(tx, w);
-          xp = x->parent.read(tx);
           w = xp->left.read(tx);
         }
         w->color.write(tx, xp->color.read(tx));
@@ -367,7 +379,9 @@ void RbTree::erase_fixup(Txn& tx, Node* x) {
 }
 
 std::size_t RbTree::unsafe_size() const {
-  return static_cast<std::size_t>(size_.unsafe_sum());
+  std::size_t count = 0;
+  unsafe_for_each([&](std::int64_t, std::int64_t) { ++count; });
+  return count;
 }
 
 bool RbTree::check_invariants(std::string* error) const {
@@ -376,12 +390,18 @@ bool RbTree::check_invariants(std::string* error) const {
     return false;
   };
   if (nil_->color.unsafe_read() != kBlack) return fail("sentinel is not black");
+  if (nil_->left.unsafe_read() != nil_ || nil_->right.unsafe_read() != nil_ ||
+      nil_->parent.unsafe_read() != nil_) {
+    return fail("sentinel links were written");
+  }
   // An empty tree's root is the (black) sentinel.
   Node* root = root_.unsafe_read();
   if (root->color.unsafe_read() != kBlack) return fail("root is not black");
+  if (!is_nil(root) && root->parent.unsafe_read() != nil_) {
+    return fail("root's parent is not the sentinel");
+  }
 
   // Iterative DFS computing black heights and verifying order/colors.
-  std::vector<std::int64_t> tally(size_.shard_count());
   long expected_black_height = -1;
   // Black height is validated by walking to each nil leaf; to avoid
   // exponential revisits we compute it along the DFS path.
@@ -401,23 +421,23 @@ bool RbTree::check_invariants(std::string* error) const {
       continue;
     }
     const std::int64_t k = n->key.unsafe_read();
-    ++tally[size_.shard_of(k)];
     if (has_lo && k <= lo) return fail("BST order violated (low bound)");
     if (has_hi && k >= hi) return fail("BST order violated (high bound)");
+    const Node* l = n->left.unsafe_read();
+    const Node* r = n->right.unsafe_read();
+    if ((!is_nil(l) && l->parent.unsafe_read() != n) ||
+        (!is_nil(r) && r->parent.unsafe_read() != n)) {
+      return fail("child's parent link does not point back");
+    }
     const bool red = n->color.unsafe_read() == kRed;
-    if (red) {
-      const Node* l = n->left.unsafe_read();
-      const Node* r = n->right.unsafe_read();
-      if ((!is_nil(l) && l->color.unsafe_read() == kRed) ||
-          (!is_nil(r) && r->color.unsafe_read() == kRed)) {
-        return fail("red node with red child");
-      }
+    if (red && ((!is_nil(l) && l->color.unsafe_read() == kRed) ||
+                (!is_nil(r) && r->color.unsafe_read() == kRed))) {
+      return fail("red node with red child");
     }
     const int child_bd = bd + (red ? 0 : 1);
-    dfs.push_back({n->left.unsafe_read(), child_bd, lo, k, has_lo, true});
-    dfs.push_back({n->right.unsafe_read(), child_bd, k, hi, true, has_hi});
+    dfs.push_back({l, child_bd, lo, k, has_lo, true});
+    dfs.push_back({r, child_bd, k, hi, true, has_hi});
   }
-  if (std::string msg; !size_.check(tally, &msg)) return fail(msg);
   return true;
 }
 

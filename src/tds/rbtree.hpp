@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "src/stm/stm.hpp"
-#include "src/tds/sharded_counter.hpp"
 #include "src/tds/tmap.hpp"
 
 namespace rubic::tds {
@@ -39,6 +38,7 @@ class RbTree {
   bool update(stm::Txn& tx, std::int64_t key, std::int64_t value);
   // Removes key; returns false if absent.
   bool erase(stm::Txn& tx, std::int64_t key);
+  // Walks the whole tree: O(n) transactional reads.
   std::int64_t size(stm::Txn& tx) const;
 
   // Smallest key >= key, if any (used by Vacation's resource queries).
@@ -52,6 +52,7 @@ class RbTree {
 
   // --- quiescent helpers (no concurrent transactions may run) ---
 
+  // Walks the whole tree.
   std::size_t unsafe_size() const;
   // In-order visit of (key, value) pairs; quiescent use only.
   template <typename Fn>
@@ -69,13 +70,10 @@ class RbTree {
       n = n->right.unsafe_read();
     }
   }
-  // Validates BST order, red-red absence, black-height balance, sentinel
-  // blackness and every size-counter shard. On failure writes a diagnostic
-  // to `error` (if given) and returns false.
+  // Validates BST order, red-red absence, black-height balance, every
+  // child's parent link and the untouched sentinel. On failure writes a
+  // diagnostic to `error` (if given) and returns false.
   bool check_invariants(std::string* error = nullptr) const;
-  // The key-sharded size counter; writing it outside insert/erase breaks
-  // check_invariants, which is what the corruption tests do.
-  ShardedCounter& size_counter() noexcept { return size_; }
 
  private:
   struct Node {
@@ -89,25 +87,29 @@ class RbTree {
 
   static constexpr std::uint64_t kBlack = 0;
   static constexpr std::uint64_t kRed = 1;
-  // Frames of range_scan's in-order walk. A valid red-black tree over
-  // 64-bit keys is at most 2*log2(n+1) <= 128 nodes tall, and the walk only
-  // stacks nodes of one root-to-leaf path, so running out of frames means
-  // the transaction read an inconsistent snapshot.
+  // Frames of the in-order walks of range_scan and size. A valid red-black
+  // tree over 64-bit keys is at most 2*log2(n+1) <= 128 nodes tall, and a
+  // walk only stacks nodes of one root-to-leaf path, so running out of
+  // frames means the transaction read an inconsistent snapshot.
   static constexpr std::size_t kMaxScanDepth = 128;
 
   Node* find_node(stm::Txn& tx, std::int64_t key) const;
   void rotate_left(stm::Txn& tx, Node* x);
   void rotate_right(stm::Txn& tx, Node* x);
   void insert_fixup(stm::Txn& tx, Node* z);
-  void erase_fixup(stm::Txn& tx, Node* x);
-  void transplant(stm::Txn& tx, Node* u, Node* v);
+  // `xp` is x's parent, passed in because x may be the sentinel.
+  void erase_fixup(stm::Txn& tx, Node* x, Node* xp);
+  // Puts v in u's place and returns u's parent.
+  Node* transplant(stm::Txn& tx, Node* u, Node* v);
   Node* minimum(stm::Txn& tx, Node* n) const;
 
   bool is_nil(const Node* n) const noexcept { return n == nil_; }
 
-  Node* nil_;  // shared sentinel: black, fields mutated during fixups
+  // Shared black sentinel for every leaf and the root's parent. Its links
+  // point at itself and none of its fields is written after construction,
+  // so updates never conflict on it.
+  Node* nil_;
   stm::TVar<Node*> root_;
-  ShardedCounter size_;
 };
 
 }  // namespace rubic::tds

@@ -1,7 +1,6 @@
 #include "src/tds/skiplist.hpp"
 
 #include <new>
-#include <vector>
 
 namespace rubic::tds {
 
@@ -93,7 +92,6 @@ bool TSkipList::insert(Txn& tx, std::int64_t key, std::int64_t value) {
   for (int lvl = 0; lvl < h; ++lvl) {
     preds[lvl]->next[lvl].write(tx, node);
   }
-  size_.add(tx, key, 1);
   return true;
 }
 
@@ -106,7 +104,6 @@ bool TSkipList::remove(Txn& tx, std::int64_t key) {
     preds[lvl]->next[lvl].write(tx, victim->next[lvl].read(tx));
   }
   tx.free(victim);
-  size_.add(tx, key, -1);
   return true;
 }
 
@@ -125,7 +122,14 @@ std::size_t TSkipList::range_scan(Txn& tx, std::int64_t lo, std::int64_t hi,
   return visited;
 }
 
-std::int64_t TSkipList::size(Txn& tx) const { return size_.sum(tx); }
+std::int64_t TSkipList::size(Txn& tx) const {
+  std::int64_t count = 0;
+  for (Node* n = head_->next[0].read(tx); n != nullptr;
+       n = n->next[0].read(tx)) {
+    ++count;
+  }
+  return count;
+}
 
 std::size_t TSkipList::unsafe_size() const {
   std::size_t count = 0;
@@ -148,8 +152,7 @@ bool TSkipList::check_invariants(std::string* error) const {
     if (error != nullptr) *error = "skiplist: " + msg;
     return false;
   };
-  // Level 0: strictly ascending keys, seeded tower heights, counted size.
-  std::vector<std::int64_t> tally(size_.shard_count());
+  // Level 0: strictly ascending keys, seeded tower heights.
   const Node* prev = nullptr;
   for (const Node* n = head_->next[0].unsafe_read(); n != nullptr;
        n = n->next[0].unsafe_read()) {
@@ -167,9 +170,7 @@ bool TSkipList::check_invariants(std::string* error) const {
                   " tower height does not match the seeded draw");
     }
     prev = n;
-    ++tally[size_.shard_of(k)];
   }
-  if (std::string msg; !size_.check(tally, &msg)) return fail(msg);
   // Higher levels: each is a sorted sub-list whose nodes all have
   // sufficient height (and are therefore present at every lower level too).
   for (int lvl = 1; lvl < kMaxHeight; ++lvl) {

@@ -8,17 +8,15 @@
 // check_invariants exploits.
 //
 // Conflict footprint: an insert/remove writes the tower-height many
-// predecessor links plus its key's size-counter shard; a lookup reads
-// O(log n) links on
-// its descent. Compared to the red-black tree there are no rotations, so
-// writers touch a localized column instead of a rebalancing path.
+// predecessor links; a lookup reads O(log n) links on its descent.
+// Compared to the red-black tree there are no rotations, so writers touch
+// a localized column instead of a rebalancing path.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
 
-#include "src/tds/sharded_counter.hpp"
 #include "src/tds/tmap.hpp"
 
 namespace rubic::tds {
@@ -43,12 +41,8 @@ class TSkipList final : public TMap {
   std::size_t unsafe_size() const override;
   void unsafe_for_each(const ScanFn& fn) const override;
   // Level-0 strictly ascending; every higher level a sorted subsequence of
-  // level 0; tower heights match the seeded draw; every size-counter shard
-  // consistent.
+  // level 0; tower heights match the seeded draw.
   bool check_invariants(std::string* error = nullptr) const override;
-  // The key-sharded size counter; writing it outside insert/remove breaks
-  // check_invariants, which is what the corruption tests do.
-  ShardedCounter& size_counter() noexcept { return size_; }
 
   // Deterministic tower height for `key` in [1, kMaxHeight]; exposed so
   // tests can pin the expected shape.
@@ -71,7 +65,6 @@ class TSkipList final : public TMap {
                    Node* preds[kMaxHeight]) const;
 
   Node* head_;  // sentinel tower of full height, key irrelevant
-  ShardedCounter size_;
   std::uint64_t seed_;
 };
 

@@ -8,9 +8,8 @@ namespace rubic::tds {
 
 using stm::Txn;
 
-THashMap::THashMap(std::size_t buckets, std::size_t counter_shards)
+THashMap::THashMap(std::size_t buckets)
     : buckets_(std::bit_ceil(std::max<std::size_t>(buckets, 2))),
-      size_(counter_shards),
       shift_(64 - std::countr_zero(buckets_.size())) {}
 
 THashMap::~THashMap() {
@@ -51,7 +50,6 @@ bool THashMap::insert(Txn& tx, std::int64_t key, std::int64_t value) {
   node->value.unsafe_write(value);
   node->next.unsafe_write(bucket.head.read(tx));
   bucket.head.write(tx, node);
-  size_.add(tx, key, 1);
   return true;
 }
 
@@ -76,7 +74,6 @@ bool THashMap::erase(Txn& tx, std::int64_t key) {
         prev->next.write(tx, next);
       }
       tx.free(node);
-      size_.add(tx, key, -1);
       return true;
     }
     prev = node;
@@ -84,10 +81,21 @@ bool THashMap::erase(Txn& tx, std::int64_t key) {
   return false;
 }
 
-std::int64_t THashMap::size(Txn& tx) const { return size_.sum(tx); }
+std::int64_t THashMap::size(Txn& tx) const {
+  std::int64_t count = 0;
+  for (const auto& bucket : buckets_) {
+    for (Node* node = bucket.head.read(tx); node != nullptr;
+         node = node->next.read(tx)) {
+      ++count;
+    }
+  }
+  return count;
+}
 
 std::size_t THashMap::unsafe_size() const {
-  return static_cast<std::size_t>(size_.unsafe_sum());
+  std::size_t count = 0;
+  unsafe_for_each([&](std::int64_t, std::int64_t) { ++count; });
+  return count;
 }
 
 bool THashMap::check_invariants(std::string* error) const {
@@ -95,23 +103,23 @@ bool THashMap::check_invariants(std::string* error) const {
     if (error != nullptr) *error = msg;
     return false;
   };
-  const std::size_t recorded = unsafe_size();
-  std::size_t counted = 0;
-  std::vector<std::int64_t> tally(size_.shard_count());
   for (std::size_t b = 0; b < buckets_.size(); ++b) {
-    for (const Node* node = buckets_[b].head.unsafe_read(); node != nullptr;
+    // Floyd's tortoise moves one node for every two the walk moves, so on a
+    // cycle the walk's next node eventually is the tortoise.
+    const Node* tortoise = buckets_[b].head.unsafe_read();
+    bool step = false;
+    for (const Node* node = tortoise; node != nullptr;
          node = node->next.unsafe_read()) {
-      const std::int64_t key = node->key.unsafe_read();
-      if (bucket_index(key) != b) {
+      if (bucket_index(node->key.unsafe_read()) != b) {
         return fail("key hashed to a different bucket than it lives in");
       }
-      if (++counted > recorded + buckets_.size() * 4 + 1024) {
-        return fail("chain cycle suspected");
+      if (step) tortoise = tortoise->next.unsafe_read();
+      step = !step;
+      if (node->next.unsafe_read() == tortoise) {
+        return fail("chain of bucket " + std::to_string(b) + " is a cycle");
       }
-      ++tally[size_.shard_of(key)];
     }
   }
-  if (std::string msg; !size_.check(tally, &msg)) return fail(msg);
   return true;
 }
 

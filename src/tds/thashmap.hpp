@@ -4,11 +4,9 @@
 // the workload, and a resize inside a transaction would conflict with every
 // concurrent operation), per-bucket singly-linked chains of heap nodes with
 // TVar links. Distinct buckets never conflict, so the map scales until the
-// key distribution or the size counter says otherwise.
-//
-// The size counter is the key-sharded ShardedCounter every structure uses,
-// because a single counter would serialize every insert/erase — the same
-// hotspot effect TQueue demonstrates deliberately.
+// key distribution says otherwise. There is no size word: one would
+// serialize every insert/erase (the hot spot TQueue keeps deliberately), so
+// size() walks every chain instead.
 #pragma once
 
 #include <cstdint>
@@ -16,18 +14,14 @@
 #include <vector>
 
 #include "src/stm/stm.hpp"
-#include "src/tds/sharded_counter.hpp"
 #include "src/util/check.hpp"
 
 namespace rubic::tds {
 
 class THashMap {
  public:
-  // `buckets` is rounded up to a power of two. `counter_shards` trades
-  // size() cost for insert/erase disjointness.
-  explicit THashMap(
-      std::size_t buckets = 1024,
-      std::size_t counter_shards = ShardedCounter::kDefaultShards);
+  // `buckets` is rounded up to a power of two.
+  explicit THashMap(std::size_t buckets = 1024);
   ~THashMap();
 
   THashMap(const THashMap&) = delete;
@@ -42,6 +36,7 @@ class THashMap {
   // Inserts or overwrites; returns true if the key was new.
   bool put(stm::Txn& tx, std::int64_t key, std::int64_t value);
   bool erase(stm::Txn& tx, std::int64_t key);
+  // Walks every chain: O(buckets + n) transactional reads.
   std::int64_t size(stm::Txn& tx) const;
 
   // --- quiescent helpers ---
@@ -56,11 +51,8 @@ class THashMap {
       }
     }
   }
-  // Every key in its bucket, every size-counter shard consistent.
+  // Every key in its bucket, no chain a cycle.
   bool check_invariants(std::string* error = nullptr) const;
-  // The key-sharded size counter; writing it outside insert/erase breaks
-  // check_invariants, which is what the corruption tests do.
-  ShardedCounter& size_counter() noexcept { return size_; }
   std::size_t bucket_count() const noexcept { return buckets_.size(); }
 
  private:
@@ -83,7 +75,6 @@ class THashMap {
   Node* find_node(stm::Txn& tx, std::int64_t key) const;
 
   std::vector<Bucket> buckets_;
-  ShardedCounter size_;
   int shift_;  // 64 - log2(buckets)
 };
 

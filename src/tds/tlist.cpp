@@ -1,7 +1,5 @@
 #include "src/tds/tlist.hpp"
 
-#include <vector>
-
 namespace rubic::tds {
 
 using stm::Txn;
@@ -55,7 +53,6 @@ bool TList::insert(Txn& tx, std::int64_t key, std::int64_t value) {
   node->value.unsafe_write(value);
   node->next.unsafe_write(next);
   prev->next.write(tx, node);
-  size_.add(tx, key, 1);
   return true;
 }
 
@@ -65,11 +62,17 @@ bool TList::erase(Txn& tx, std::int64_t key) {
   if (node == nullptr || node->key.read(tx) != key) return false;
   prev->next.write(tx, node->next.read(tx));
   tx.free(node);
-  size_.add(tx, key, -1);
   return true;
 }
 
-std::int64_t TList::size(Txn& tx) const { return size_.sum(tx); }
+std::int64_t TList::size(Txn& tx) const {
+  std::int64_t count = 0;
+  for (Node* node = head_->next.read(tx); node != nullptr;
+       node = node->next.read(tx)) {
+    ++count;
+  }
+  return count;
+}
 
 std::size_t TList::range_scan(Txn& tx, std::int64_t lo, std::int64_t hi,
                               const ScanFn& fn) const {
@@ -86,7 +89,9 @@ std::size_t TList::range_scan(Txn& tx, std::int64_t lo, std::int64_t hi,
 }
 
 std::size_t TList::unsafe_size() const {
-  return static_cast<std::size_t>(size_.unsafe_sum());
+  std::size_t count = 0;
+  unsafe_for_each([&](std::int64_t, std::int64_t) { ++count; });
+  return count;
 }
 
 bool TList::check_invariants(std::string* error) const {
@@ -94,9 +99,6 @@ bool TList::check_invariants(std::string* error) const {
     if (error != nullptr) *error = msg;
     return false;
   };
-  const std::size_t recorded = unsafe_size();
-  std::size_t counted = 0;
-  std::vector<std::int64_t> tally(size_.shard_count());
   std::int64_t last_key = INT64_MIN;
   bool first = true;
   for (const Node* node = head_->next.unsafe_read(); node != nullptr;
@@ -105,10 +107,7 @@ bool TList::check_invariants(std::string* error) const {
     if (!first && key <= last_key) return fail("keys not strictly ascending");
     first = false;
     last_key = key;
-    if (++counted > recorded + 1) return fail("more nodes than size");
-    ++tally[size_.shard_of(key)];
   }
-  if (std::string msg; !size_.check(tally, &msg)) return fail(msg);
   return true;
 }
 

@@ -13,7 +13,6 @@
 #include <string>
 
 #include "src/stm/stm.hpp"
-#include "src/tds/sharded_counter.hpp"
 #include "src/tds/tmap.hpp"
 
 namespace rubic::tds {
@@ -33,6 +32,7 @@ class TList {
   // Sorted insert; returns false if the key already exists.
   bool insert(stm::Txn& tx, std::int64_t key, std::int64_t value);
   bool erase(stm::Txn& tx, std::int64_t key);
+  // Walks the whole list: O(n) transactional reads.
   std::int64_t size(stm::Txn& tx) const;
   // Visits every pair with lo <= key < hi in ascending key order and
   // returns the number visited: one walk to lo, then along the chain, so
@@ -50,11 +50,8 @@ class TList {
       fn(node->key.unsafe_read(), node->value.unsafe_read());
     }
   }
-  // Strictly ascending keys, every size-counter shard consistent.
+  // Strictly ascending keys (which also rules out a cycle).
   bool check_invariants(std::string* error = nullptr) const;
-  // The key-sharded size counter; writing it outside insert/erase breaks
-  // check_invariants, which is what the corruption tests do.
-  ShardedCounter& size_counter() noexcept { return size_; }
 
  private:
   struct Node {
@@ -67,7 +64,6 @@ class TList {
   Node* find_predecessor(stm::Txn& tx, std::int64_t key) const;
 
   Node* head_;  // sentinel, key irrelevant
-  ShardedCounter size_;
 };
 
 }  // namespace rubic::tds

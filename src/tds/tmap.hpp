@@ -55,14 +55,16 @@ class TMap {
   // interval small — the same contract the traffic stock-scan op uses.
   virtual std::size_t range_scan(stm::Txn& tx, std::int64_t lo,
                                  std::int64_t hi, const ScanFn& fn) const = 0;
+  // Exact entry count. No structure keeps a size word, which every insert
+  // and remove would have to write, so this walks the whole structure.
   virtual std::int64_t size(stm::Txn& tx) const = 0;
 
   // --- quiescent helpers (no concurrent transactions may run) ---
 
   virtual std::size_t unsafe_size() const = 0;
   virtual void unsafe_for_each(const ScanFn& fn) const = 0;
-  // Structure-specific shape invariants plus size-counter consistency. On
-  // failure writes a diagnostic to `error` (if given) and returns false.
+  // Structure-specific shape invariants. On failure writes a diagnostic to
+  // `error` (if given) and returns false.
   virtual bool check_invariants(std::string* error = nullptr) const = 0;
 };
 

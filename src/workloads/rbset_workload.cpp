@@ -24,15 +24,24 @@ void RbSetWorkload::run_task(stm::TxnDesc& ctx, util::Xoshiro256& rng) {
   if (roll < params_.lookup_pct) {
     stm::atomically(ctx, [&](stm::Txn& tx) { (void)tree_.contains(tx, key); });
   } else if ((roll - params_.lookup_pct) % 2 == 0) {
-    stm::atomically(ctx,
-                    [&](stm::Txn& tx) { (void)tree_.insert(tx, key, key * 2); });
+    const bool inserted = stm::atomically(
+        ctx, [&](stm::Txn& tx) { return tree_.insert(tx, key, key * 2); });
+    if (inserted) committed_.add(ctx, 1);
   } else {
-    stm::atomically(ctx, [&](stm::Txn& tx) { (void)tree_.erase(tx, key); });
+    const bool erased = stm::atomically(
+        ctx, [&](stm::Txn& tx) { return tree_.erase(tx, key); });
+    if (erased) committed_.add(ctx, -1);
   }
 }
 
 bool RbSetWorkload::verify(std::string* error) {
-  return tree_.check_invariants(error);
+  if (!tree_.check_invariants(error)) return false;
+  if (std::string msg;
+      !committed_.check(params_.initial_size, tree_.unsafe_size(), &msg)) {
+    if (error != nullptr) *error = "rbset: tree " + msg;
+    return false;
+  }
+  return true;
 }
 
 }  // namespace rubic::workloads

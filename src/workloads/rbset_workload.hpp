@@ -12,6 +12,7 @@
 #include <memory>
 
 #include "src/tds/rbtree.hpp"
+#include "src/workloads/commit_tally.hpp"
 #include "src/workloads/workload.hpp"
 
 namespace rubic::workloads {
@@ -44,15 +45,21 @@ class RbSetWorkload final : public Workload {
 
   std::string_view name() const override { return "rbset"; }
   void run_task(stm::TxnDesc& ctx, util::Xoshiro256& rng) override;
+  // Tree invariants, and a walked size equal to the initial size plus the
+  // committed inserts and erases every worker counted.
   bool verify(std::string* error = nullptr) override;
 
   const tds::RbTree& tree() const noexcept { return tree_; }
+  // Updates made through this reference are not counted, so verify() then
+  // reports a size mismatch (the tests' lost-update stand-in).
+  tds::RbTree& tree() noexcept { return tree_; }
   std::int64_t key_range() const noexcept { return key_range_; }
 
  private:
   RbSetParams params_;
   std::int64_t key_range_;
   tds::RbTree tree_;
+  CommitTally committed_;
 };
 
 }  // namespace rubic::workloads

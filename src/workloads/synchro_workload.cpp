@@ -47,13 +47,15 @@ void SynchroWorkload::run_task(stm::TxnDesc& ctx, util::Xoshiro256& rng) {
   if (roll < params_.update_pct) {
     if ((roll & 1) == 0) {
       const stm::profiler::ScopedTxnLabel label(label_insert_);
-      stm::atomically(ctx, [&](stm::Txn& tx) {
-        (void)map_->insert(tx, key, tds::fill_value(key));
+      const bool inserted = stm::atomically(ctx, [&](stm::Txn& tx) {
+        return map_->insert(tx, key, tds::fill_value(key));
       });
+      if (inserted) committed_.add(ctx, 1);
     } else {
       const stm::profiler::ScopedTxnLabel label(label_remove_);
-      stm::atomically(ctx,
-                      [&](stm::Txn& tx) { (void)map_->remove(tx, key); });
+      const bool removed = stm::atomically(
+          ctx, [&](stm::Txn& tx) { return map_->remove(tx, key); });
+      if (removed) committed_.add(ctx, -1);
     }
   } else if (roll < params_.update_pct + params_.scan_pct) {
     const stm::profiler::ScopedTxnLabel label(label_scan_);
@@ -80,11 +82,19 @@ bool SynchroWorkload::verify(std::string* error) {
       bad_key = k;
     }
   });
-  if (!values_ok && error != nullptr) {
-    *error = name_ + ": key " + std::to_string(bad_key) +
-             " holds a value outside the fill convention";
+  if (!values_ok) {
+    if (error != nullptr) {
+      *error = name_ + ": key " + std::to_string(bad_key) +
+               " holds a value outside the fill convention";
+    }
+    return false;
   }
-  return values_ok;
+  if (std::string msg;
+      !committed_.check(params_.initial_size, map_->unsafe_size(), &msg)) {
+    if (error != nullptr) *error = name_ + ": structure " + msg;
+    return false;
+  }
+  return true;
 }
 
 }  // namespace rubic::workloads

@@ -19,6 +19,7 @@
 
 #include "src/tds/registry.hpp"
 #include "src/tds/tmap.hpp"
+#include "src/workloads/commit_tally.hpp"
 #include "src/workloads/workload.hpp"
 
 namespace rubic::workloads {
@@ -59,9 +60,15 @@ class SynchroWorkload final : public Workload {
 
   std::string_view name() const override { return name_; }
   void run_task(stm::TxnDesc& ctx, util::Xoshiro256& rng) override;
+  // Structure invariants, the fill value convention, and a walked size
+  // equal to the initial size plus the committed inserts and removes every
+  // worker counted.
   bool verify(std::string* error = nullptr) override;
 
   const tds::TMap& map() const noexcept { return *map_; }
+  // Updates made through this reference are not counted, so verify() then
+  // reports a size mismatch (the tests' lost-update stand-in).
+  tds::TMap& map() noexcept { return *map_; }
   std::int64_t key_range() const noexcept { return params_.key_range; }
   const SynchroParams& params() const noexcept { return params_; }
 
@@ -69,6 +76,7 @@ class SynchroWorkload final : public Workload {
   SynchroParams params_;
   std::string name_;
   std::unique_ptr<tds::TMap> map_;
+  CommitTally committed_;
   std::uint16_t label_lookup_;
   std::uint16_t label_insert_;
   std::uint16_t label_remove_;

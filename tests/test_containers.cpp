@@ -23,7 +23,7 @@ class THashMapTest : public ::testing::Test {
  protected:
   stm::Runtime rt_;
   stm::TxnDesc& ctx_ = rt_.register_thread();
-  THashMap map_{64, 4};
+  THashMap map_{64};
 
   template <typename F>
   auto tx(F&& f) {
@@ -101,7 +101,7 @@ TEST_P(THashMapRandomOps, MatchesUnorderedMap) {
   const auto [seed, key_range] = GetParam();
   stm::Runtime rt;
   stm::TxnDesc& ctx = rt.register_thread();
-  THashMap map(32, 2);  // small table → long chains under test
+  THashMap map(32);  // small table → long chains under test
   std::unordered_map<std::int64_t, std::int64_t> model;
   util::Xoshiro256 rng(seed);
   for (int op = 0; op < 3000; ++op) {
@@ -165,7 +165,7 @@ INSTANTIATE_TEST_SUITE_P(Sweeps, THashMapRandomOps,
 
 TEST(THashMapConcurrent, DisjointInsertsAllLand) {
   stm::Runtime rt;
-  THashMap map(256, 8);
+  THashMap map(256);
   constexpr int kThreads = 4, kPerThread = 500;
   util::SpinBarrier barrier(kThreads);
   std::vector<std::thread> threads;
@@ -187,7 +187,7 @@ TEST(THashMapConcurrent, DisjointInsertsAllLand) {
 
 TEST(THashMapConcurrent, ContendedChurnKeepsInvariants) {
   stm::Runtime rt;
-  THashMap map(16, 2);  // tiny: heavy chain contention
+  THashMap map(16);  // tiny: heavy chain contention
   constexpr int kThreads = 4;
   util::SpinBarrier barrier(kThreads);
   std::vector<std::thread> threads;

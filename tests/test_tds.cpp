@@ -10,9 +10,9 @@
 //  - structure-specific shape tests for the new skiplist and B+-tree,
 //  - FIFO/ordering invariants for TQueue and TList under 4-thread
 //    concurrent transactions on every backend (previously untested here),
-//  - the sharded size counter: hand-driven pairs of inserts into disjoint
-//    parts of each ordered structure both commit on tl2 and norec, and
-//    check_invariants catches a count moved between two shards,
+//  - disjoint updates: hand-driven pairs of inserts into disjoint parts of
+//    each ordered structure both commit on tl2 and norec, and an update
+//    that needs no restructuring writes only the words it changes,
 //  - registry round-trips and the listing the CLI agreement rides on.
 #include <gtest/gtest.h>
 
@@ -30,7 +30,6 @@
 #include "src/tds/harness.hpp"
 #include "src/tds/rbtree.hpp"
 #include "src/tds/registry.hpp"
-#include "src/tds/sharded_counter.hpp"
 #include "src/tds/skiplist.hpp"
 #include "src/tds/thashmap.hpp"
 #include "src/tds/tlist.hpp"
@@ -759,14 +758,13 @@ TEST(TListConcurrent, ChurnReconcilesCountsOnEveryBackend) {
   }
 }
 
-// --- sharded size counter ---
+// --- disjoint updates ---
 //
-// Every structure counts its keys in a ShardedCounter, so two updates of
-// keys in different shards and disjoint parts of the structure must not
-// conflict. Each test drives two transactions by hand: both begin, each
-// inserts one key, then `first` commits and `second` commits. With one
+// No structure keeps a size word, so two updates whose paths do not meet
+// must not conflict. Each test drives two transactions by hand: both begin,
+// each inserts one key, then `first` commits and `second` commits. With a
 // shared size word the second commit aborts (it read the count the first
-// one overwrote); with the sharded counter both commit.
+// one overwrote); here both commit.
 
 constexpr stm::BackendKind kInvisibleReadBackends[] = {stm::BackendKind::kTl2,
                                                        stm::BackendKind::kNorec};
@@ -785,9 +783,6 @@ template <typename Map>
 void expect_disjoint_inserts_both_commit(stm::Runtime& rt, Map& map,
                                          std::int64_t first,
                                          std::int64_t second) {
-  ASSERT_NE(map.size_counter().shard_of(first),
-            map.size_counter().shard_of(second))
-      << "the two keys must land in different counter shards";
   stm::TxnDesc& ctx = rt.register_thread();
   const std::int64_t before =
       stm::atomically(ctx, [&](stm::Txn& tx) { return map.size(tx); });
@@ -816,28 +811,26 @@ void expect_disjoint_inserts_both_commit(stm::Runtime& rt, Map& map,
   EXPECT_EQ(after, before + (second_committed ? 2 : 1));
 }
 
-TEST(ShardedSize, RbTreeRedLeavesUnderBlackParentsCommitTogether) {
-  for (const auto backend : kInvisibleReadBackends) {
-    SCOPED_TRACE(std::string(stm::backend_name(backend)));
-    stm::Runtime rt(with_backend(backend));
-    stm::TxnDesc& ctx = rt.register_thread();
-    RbTree tree;
-    // 40, 20, 60, 10 leaves 40, 20 and 60 black and 10 red: a key in
-    // (20, 40) becomes 20's red right child and a key above 60 becomes 60's
-    // red right child, neither needing a fix-up.
-    for (const std::int64_t k : {40, 20, 60, 10}) {
-      stm::atomically(ctx, [&](stm::Txn& tx) { tree.insert(tx, k, k); });
-    }
-    const std::int64_t first = 30;
-    const std::int64_t second = first_key_in(61, 100, [&](std::int64_t k) {
-      return tree.size_counter().shard_of(k) !=
-             tree.size_counter().shard_of(first);
-    });
-    expect_disjoint_inserts_both_commit(rt, tree, first, second);
+// 40, 20, 60, 10 leaves 40, 20 and 60 black and 10 red: a key in (20, 40)
+// becomes 20's red right child and a key above 60 becomes 60's red right
+// child, neither needing a fix-up, and erasing 10 needs none either.
+void fill_rbtree_with_black_parents(stm::TxnDesc& ctx, RbTree& tree) {
+  for (const std::int64_t k : {40, 20, 60, 10}) {
+    stm::atomically(ctx, [&](stm::Txn& tx) { tree.insert(tx, k, k); });
   }
 }
 
-TEST(ShardedSize, BTreeInsertsIntoDifferentLeavesCommitTogether) {
+TEST(DisjointUpdates, RbTreeRedLeavesUnderBlackParentsCommitTogether) {
+  for (const auto backend : kInvisibleReadBackends) {
+    SCOPED_TRACE(std::string(stm::backend_name(backend)));
+    stm::Runtime rt(with_backend(backend));
+    RbTree tree;
+    fill_rbtree_with_black_parents(rt.register_thread(), tree);
+    expect_disjoint_inserts_both_commit(rt, tree, 30, 70);
+  }
+}
+
+TEST(DisjointUpdates, BTreeInsertsIntoDifferentLeavesCommitTogether) {
   for (const auto backend : kInvisibleReadBackends) {
     SCOPED_TRACE(std::string(stm::backend_name(backend)));
     stm::Runtime rt(with_backend(backend));
@@ -848,16 +841,11 @@ TEST(ShardedSize, BTreeInsertsIntoDifferentLeavesCommitTogether) {
     for (std::int64_t k = 10; k <= 80; k += 10) {
       stm::atomically(ctx, [&](stm::Txn& tx) { tree.insert(tx, k, k); });
     }
-    const std::int64_t first = 25;
-    const std::int64_t second = first_key_in(61, 70, [&](std::int64_t k) {
-      return tree.size_counter().shard_of(k) !=
-             tree.size_counter().shard_of(first);
-    });
-    expect_disjoint_inserts_both_commit(rt, tree, first, second);
+    expect_disjoint_inserts_both_commit(rt, tree, 25, 65);
   }
 }
 
-TEST(ShardedSize, SkipListInsertsBehindAnExpressLaneCommitTogether) {
+TEST(DisjointUpdates, SkipListInsertsBehindAnExpressLaneCommitTogether) {
   for (const auto backend : kInvisibleReadBackends) {
     SCOPED_TRACE(std::string(stm::backend_name(backend)));
     stm::Runtime rt(with_backend(backend));
@@ -874,17 +862,14 @@ TEST(ShardedSize, SkipListInsertsBehindAnExpressLaneCommitTogether) {
     const std::int64_t tall = first_key_in(2, 17, [&](std::int64_t i) {
                                 return list.height_for(i * 100) >= 2;
                               }) * 100;
-    const std::int64_t second =
-        first_key_in(tall + 1, tall + 100, [&](std::int64_t k) {
-          return list.height_for(k) == 1 &&
-                 list.size_counter().shard_of(k) !=
-                     list.size_counter().shard_of(first);
-        });
+    const std::int64_t second = first_key_in(
+        tall + 1, tall + 100,
+        [&](std::int64_t k) { return list.height_for(k) == 1; });
     expect_disjoint_inserts_both_commit(rt, list, first, second);
   }
 }
 
-TEST(ShardedSize, ListInsertsCommitTogetherWhenTheFartherOneCommitsFirst) {
+TEST(DisjointUpdates, ListInsertsCommitTogetherWhenTheFartherOneCommitsFirst) {
   for (const auto backend : kInvisibleReadBackends) {
     SCOPED_TRACE(std::string(stm::backend_name(backend)));
     stm::Runtime rt(with_backend(backend));
@@ -893,88 +878,123 @@ TEST(ShardedSize, ListInsertsCommitTogetherWhenTheFartherOneCommitsFirst) {
     for (std::int64_t k = 10; k <= 100; k += 10) {
       stm::atomically(ctx, [&](stm::Txn& tx) { list.insert(tx, k, k); });
     }
-    // The walk to 85 reads the link that the insert of `second` writes, so
-    // 85 commits first; the walk to `second` stops long before 80's link.
-    const std::int64_t first = 85;
-    const std::int64_t second = first_key_in(11, 20, [&](std::int64_t k) {
-      return list.size_counter().shard_of(k) !=
-             list.size_counter().shard_of(first);
-    });
-    expect_disjoint_inserts_both_commit(rt, list, first, second);
+    // The walk to 85 reads the link that the insert of 15 writes, so 85
+    // commits first; the walk to 15 stops long before 80's link.
+    expect_disjoint_inserts_both_commit(rt, list, 85, 15);
   }
 }
 
-// Moves one count between two shards: the total stays right, so only the
-// per-shard check can notice.
-template <typename Map>
-void expect_moved_count_is_caught(Map& map) {
-  stm::Runtime rt(with_backend(stm::BackendKind::kTl2));
-  stm::TxnDesc& ctx = rt.register_thread();
-  for (std::int64_t k = 1; k <= 64; ++k) {
-    stm::atomically(ctx, [&](stm::Txn& tx) { map.insert(tx, k, k); });
-  }
-  ShardedCounter& counter = map.size_counter();
-  const std::int64_t from = 1;
-  const std::int64_t to = first_key_in(2, 65, [&](std::int64_t k) {
-    return counter.shard_of(k) != counter.shard_of(from);
-  });
-  std::string error;
-  ASSERT_TRUE(map.check_invariants(&error)) << error;
-  stm::atomically(ctx, [&](stm::Txn& tx) {
-    counter.add(tx, from, -1);
-    counter.add(tx, to, 1);
-  });
-  EXPECT_EQ(map.unsafe_size(), 64u) << "the total is unchanged";
-  EXPECT_FALSE(map.check_invariants(&error));
-  EXPECT_NE(error.find("size shard"), std::string::npos) << error;
-  stm::atomically(ctx, [&](stm::Txn& tx) {
-    counter.add(tx, from, 1);
-    counter.add(tx, to, -1);
-  });
-  EXPECT_TRUE(map.check_invariants(&error)) << error;
+// --- update footprints ---
+//
+// An update that needs no restructuring writes only the words it changes:
+// no size word, and no field of the rbtree's shared sentinel. Each case
+// runs one update in a transaction of its own and reads the write set
+// before rolling the attempt back.
+
+// Words `update` wrote in a fresh transaction on `ctx`; the transaction is
+// then rolled back, so the structure is left as it was.
+template <typename Update>
+std::size_t words_written(stm::TxnDesc& ctx, Update&& update) {
+  ctx.begin(true);
+  stm::Txn tx(ctx);
+  EXPECT_TRUE(update(tx)) << "the update must apply";
+  const std::size_t words = ctx.write_set_size();
+  ctx.rollback(stm::AbortCause::kUserRetry);
+  return words;
 }
 
-TEST(ShardedSize, CheckInvariantsCatchesOneTamperedShard) {
-  {
-    SCOPED_TRACE("rbtree");
+TEST(UpdateFootprint, RbTreeRedLeafInsertAndEraseWriteOneLink) {
+  for (const auto backend : kInvisibleReadBackends) {
+    SCOPED_TRACE(std::string(stm::backend_name(backend)));
+    stm::Runtime rt(with_backend(backend));
+    stm::TxnDesc& ctx = rt.register_thread();
     RbTree tree;
-    expect_moved_count_is_caught(tree);
-  }
-  {
-    SCOPED_TRACE("btree");
-    TBTree tree;
-    expect_moved_count_is_caught(tree);
-  }
-  {
-    SCOPED_TRACE("skiplist");
-    TSkipList list;
-    expect_moved_count_is_caught(list);
-  }
-  {
-    SCOPED_TRACE("list");
-    TList list;
-    expect_moved_count_is_caught(list);
-  }
-  {
-    SCOPED_TRACE("hashmap");
-    THashMap map;
-    expect_moved_count_is_caught(map);
+    fill_rbtree_with_black_parents(ctx, tree);
+    EXPECT_EQ(words_written(ctx, [&](stm::Txn& tx) {
+                return tree.insert(tx, 30, 30);
+              }),
+              1u)
+        << "only 20's right link";
+    // Erasing a leaf hands its parent the sentinel; the sentinel itself
+    // must not learn its new parent.
+    EXPECT_EQ(
+        words_written(ctx, [&](stm::Txn& tx) { return tree.erase(tx, 10); }),
+        1u)
+        << "only 20's left link";
+    std::string error;
+    EXPECT_TRUE(tree.check_invariants(&error)) << error;
   }
 }
 
-TEST(ShardedSize, ShardCountRoundsUpAndOneShardTakesEveryKey) {
-  EXPECT_EQ(ShardedCounter(10).shard_count(), 16u);
-  EXPECT_EQ(ShardedCounter(0).shard_count(), 1u);
-  const ShardedCounter one(1);
-  for (const std::int64_t k : {std::numeric_limits<std::int64_t>::min(),
-                               std::int64_t{-1}, std::int64_t{0},
-                               std::numeric_limits<std::int64_t>::max()}) {
-    EXPECT_EQ(one.shard_of(k), 0u);
+TEST(UpdateFootprint, HashMapInsertAndEraseWriteOneLink) {
+  for (const auto backend : kInvisibleReadBackends) {
+    SCOPED_TRACE(std::string(stm::backend_name(backend)));
+    stm::Runtime rt(with_backend(backend));
+    stm::TxnDesc& ctx = rt.register_thread();
+    THashMap map(64);
+    for (std::int64_t k = 1; k <= 32; ++k) {
+      stm::atomically(ctx, [&](stm::Txn& tx) { map.insert(tx, k, k); });
+    }
+    EXPECT_EQ(words_written(
+                  ctx, [&](stm::Txn& tx) { return map.insert(tx, 100, 100); }),
+              1u)
+        << "only the bucket head";
+    EXPECT_EQ(
+        words_written(ctx, [&](stm::Txn& tx) { return map.erase(tx, 7); }), 1u)
+        << "only the link that led to 7";
   }
-  const ShardedCounter many(ShardedCounter::kDefaultShards);
-  std::vector<int> hits(many.shard_count());
-  for (std::int64_t k = 0; k < 1024; ++k) ++hits[many.shard_of(k)];
-  for (const int h : hits) EXPECT_GT(h, 0) << "consecutive keys spread out";
+}
+
+TEST(UpdateFootprint, BTreeAppendWritesOneSlotAndRemovingTheLastKeyOnlyCount) {
+  for (const auto backend : kInvisibleReadBackends) {
+    SCOPED_TRACE(std::string(stm::backend_name(backend)));
+    stm::Runtime rt(with_backend(backend));
+    stm::TxnDesc& ctx = rt.register_thread();
+    TBTree tree;
+    for (const std::int64_t k : {10, 20, 30}) {
+      stm::atomically(ctx, [&](stm::Txn& tx) { tree.insert(tx, k, k); });
+    }
+    EXPECT_EQ(words_written(
+                  ctx, [&](stm::Txn& tx) { return tree.insert(tx, 40, 40); }),
+              3u)
+        << "the new key, its value and the leaf's count";
+    EXPECT_EQ(
+        words_written(ctx, [&](stm::Txn& tx) { return tree.remove(tx, 30); }),
+        1u)
+        << "only the leaf's count";
+  }
+}
+
+TEST(UpdateFootprint, ListAndHeightOneSkipListUpdatesWriteOneLink) {
+  for (const auto backend : kInvisibleReadBackends) {
+    SCOPED_TRACE(std::string(stm::backend_name(backend)));
+    stm::Runtime rt(with_backend(backend));
+    stm::TxnDesc& ctx = rt.register_thread();
+    TList list;
+    TSkipList skiplist;
+    for (std::int64_t k = 10; k <= 100; k += 10) {
+      stm::atomically(ctx, [&](stm::Txn& tx) {
+        list.insert(tx, k, k);
+        skiplist.insert(tx, k, k);
+      });
+    }
+    EXPECT_EQ(words_written(
+                  ctx, [&](stm::Txn& tx) { return list.insert(tx, 45, 45); }),
+              1u)
+        << "only 40's link";
+    EXPECT_EQ(
+        words_written(ctx, [&](stm::Txn& tx) { return list.erase(tx, 50); }),
+        1u)
+        << "only 40's link";
+    const std::int64_t low = first_key_in(
+        41, 50, [&](std::int64_t k) { return skiplist.height_for(k) == 1; });
+    EXPECT_EQ(words_written(ctx,
+                            [&](stm::Txn& tx) {
+                              return skiplist.insert(tx, low, low);
+                            }),
+              1u)
+        << "only 40's level-0 link";
+  }
 }
 
 }  // namespace

@@ -7,9 +7,11 @@
 #include <thread>
 #include <vector>
 
+#include "src/tds/registry.hpp"
 #include "src/util/spin_barrier.hpp"
 #include "src/workloads/intruder/intruder_workload.hpp"
 #include "src/workloads/rbset_workload.hpp"
+#include "src/workloads/synchro_workload.hpp"
 #include "src/tds/tqueue.hpp"
 #include "src/workloads/vacation/vacation_workload.hpp"
 
@@ -323,6 +325,51 @@ TEST(RbSetWorkload, ReadOnlyVariantNeverMutates) {
   EXPECT_EQ(stats.commits - setup_stats.commits,
             stats.read_only_commits - setup_stats.read_only_commits)
       << "100% look-up tasks must all be read-only commits";
+}
+
+// The structures keep no size word, so a lost update shows only in the
+// workers' own count of their committed inserts and erases. An erase the
+// workload does not count stands in for one: the structure stays valid,
+// and verify() must still notice the missing key.
+TEST(RbSetWorkload, VerifyCatchesAnEraseTheWorkersDidNotCount) {
+  stm::Runtime rt;
+  RbSetWorkload workload(rt, RbSetParams::tiny());
+  stm::TxnDesc& ctx = rt.register_thread();
+  util::Xoshiro256 rng(3);
+  for (int i = 0; i < 500; ++i) workload.run_task(ctx, rng);
+  std::string error;
+  ASSERT_TRUE(workload.verify(&error)) << error;
+  std::int64_t victim = 0;
+  workload.tree().unsafe_for_each(
+      [&](std::int64_t k, std::int64_t) { victim = k; });
+  ASSERT_TRUE(stm::atomically(
+      ctx, [&](stm::Txn& tx) { return workload.tree().erase(tx, victim); }));
+  EXPECT_TRUE(workload.tree().check_invariants(&error)) << error;
+  EXPECT_FALSE(workload.verify(&error));
+  EXPECT_NE(error.find("committed inserts and erases"), std::string::npos)
+      << error;
+}
+
+TEST(SynchroWorkload, VerifyCatchesARemoveTheWorkersDidNotCount) {
+  for (const auto structure : tds::known_structures()) {
+    SCOPED_TRACE(std::string(structure));
+    stm::Runtime rt;
+    SynchroWorkload workload(rt, SynchroParams::tiny(std::string(structure)));
+    stm::TxnDesc& ctx = rt.register_thread();
+    util::Xoshiro256 rng(3);
+    for (int i = 0; i < 500; ++i) workload.run_task(ctx, rng);
+    std::string error;
+    ASSERT_TRUE(workload.verify(&error)) << error;
+    std::int64_t victim = 0;
+    workload.map().unsafe_for_each(
+        [&](std::int64_t k, std::int64_t) { victim = k; });
+    ASSERT_TRUE(stm::atomically(
+        ctx, [&](stm::Txn& tx) { return workload.map().remove(tx, victim); }));
+    EXPECT_TRUE(workload.map().check_invariants(&error)) << error;
+    EXPECT_FALSE(workload.verify(&error));
+    EXPECT_NE(error.find("committed inserts and erases"), std::string::npos)
+        << error;
+  }
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 // up here automatically.
 //
 // Run:  ./stamp_suite [--seconds-each 1] [--pool 8] [--policy rubic]
-//                     [--stm-backend orec_swiss|norec]
+//                     [--stm-backend orec_swiss|norec|tl2]
 //       ./stamp_suite --list-workloads / --list-controllers / --list-backends
 #include <chrono>
 #include <cstdio>
@@ -60,6 +60,11 @@ int main(int argc, char** argv) {
       return 2;
     }
     backend = *parsed;
+  }
+  if (!control::policy_known(policy)) {
+    std::fprintf(stderr, "unknown controller '%s' (try --list-controllers)\n",
+                 policy.c_str());
+    return 2;
   }
 
   std::printf("%-15s %14s %10s %12s %12s  %s\n", "workload", "tasks/s",

@@ -20,12 +20,12 @@ tasks/s median, full rep count) for every (structure, backend) pair.
 
 Usage:
     check_backend_grid.py RESULTS.json [RESULTS.json ...]
-        [--backends orec,norec,tl2,2plundo]
+        [--backends orec,norec,tl2]
         [--metrics read1_ns,write1_ns,rmw8_ns,rbtree_lookup_ns]
         [--max-ns 1e7]
     check_backend_grid.py --synchro RESULTS.json [RESULTS.json ...]
         [--structures btree,hashmap,list,rbtree,skiplist]
-        [--backends orec_swiss,norec,tl2,2plundo]
+        [--backends orec_swiss,norec,tl2]
 
 Exit code 0 when the grid is complete and sane; 1 with a per-cell diagnostic
 on stderr otherwise.
@@ -43,14 +43,14 @@ SCHEMA = "rubic-bench-results/v1"
 # (tools/rubic_bench.cpp). The bench names abbreviate the orec_swiss engine
 # to "orec" (backend_orec_rmw8_ns etc.); the other tokens match the
 # runtime's backend names exactly.
-DEFAULT_BACKENDS = ["orec", "norec", "tl2", "2plundo"]
+DEFAULT_BACKENDS = ["orec", "norec", "tl2"]
 DEFAULT_METRICS = ["read1_ns", "write1_ns", "rmw8_ns", "rbtree_lookup_ns"]
 
 # Synchro-grid tokens, kept in sync with tds::known_structures()
 # (src/tds/registry.hpp) and the full backend names the rubic_synchro cell
 # namer uses (no orec abbreviation there).
 DEFAULT_STRUCTURES = ["btree", "hashmap", "list", "rbtree", "skiplist"]
-DEFAULT_SYNCHRO_BACKENDS = ["orec_swiss", "norec", "tl2", "2plundo"]
+DEFAULT_SYNCHRO_BACKENDS = ["orec_swiss", "norec", "tl2"]
 
 
 def fail(message):

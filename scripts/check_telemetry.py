@@ -31,7 +31,7 @@ import sys
 SCHEMA = "rubic-telemetry/v1"
 CONTENTION_SCHEMA = "rubic-contention/v1"
 
-CONTENTION_BACKENDS = {"orec_swiss", "norec", "tl2", "2plundo"}
+CONTENTION_BACKENDS = {"orec_swiss", "norec", "tl2"}
 CONTENTION_CAUSES = {
     "read_conflict",
     "write_conflict",

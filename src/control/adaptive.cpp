@@ -8,7 +8,7 @@ std::vector<std::string> default_backend_candidates() {
   // Must match stm::known_backends() order; pinned by
   // tests/test_backend_adapt.cpp (see backend_adapter.hpp for why this is
   // a duplicate and not an include).
-  return {"orec_swiss", "norec", "tl2", "2plundo"};
+  return {"orec_swiss", "norec", "tl2"};
 }
 
 AdaptiveController::AdaptiveController(std::unique_ptr<Controller> inner,

@@ -13,8 +13,6 @@ std::string_view backend_name(BackendKind kind) noexcept {
       return "norec";
     case BackendKind::kTl2:
       return "tl2";
-    case BackendKind::k2plUndo:
-      return "2plundo";
   }
   return "?";
 }
@@ -27,8 +25,7 @@ std::optional<BackendKind> parse_backend(std::string_view name) noexcept {
 }
 
 std::vector<BackendKind> known_backends() {
-  return {BackendKind::kOrecSwiss, BackendKind::kNorec, BackendKind::kTl2,
-          BackendKind::k2plUndo};
+  return {BackendKind::kOrecSwiss, BackendKind::kNorec, BackendKind::kTl2};
 }
 
 BackendKind default_backend() {

@@ -33,13 +33,6 @@ enum class BackendKind : std::uint8_t {
   // locks, no contention-manager waiting). Shortest lock hold times of the
   // write-back engines.
   kTl2,
-  // 2PL-undo (2PLSF-style): eager in-place writes guarded by per-stripe
-  // reader/writer lock words and an undo log, with a starvation-resistant
-  // contention manager — a transaction that keeps aborting claims a global
-  // priority token and is then allowed to wait for conflicting locks while
-  // everyone else aborts immediately. Reads take read locks held to commit,
-  // so validation is free; aborts pay the undo write-back.
-  k2plUndo,
 };
 
 // Canonical token, used by CLI flags, telemetry labels, JSON reports and

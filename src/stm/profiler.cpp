@@ -154,10 +154,6 @@ struct ContentionTelemetry {
         static ContentionTelemetry tl2 = make(BackendKind::kTl2);
         return tl2;
       }
-      case BackendKind::k2plUndo: {
-        static ContentionTelemetry twopl = make(BackendKind::k2plUndo);
-        return twopl;
-      }
       default: {
         static ContentionTelemetry orec = make(BackendKind::kOrecSwiss);
         return orec;

@@ -13,8 +13,7 @@
 //     the shared TxnDesc::rollback(AbortCause) epilogue turns the note into
 //     one sample. Causes that carry no conflict site (doomed, user_retry,
 //     fault_injected) record the kNoStripe sentinel.
-//   * Stripe identity is the orec-table index for orec_swiss/tl2, the
-//     rwlock-table index for 2plundo (same Fibonacci stripe mapping), and
+//   * Stripe identity is the orec-table index for orec_swiss/tl2 and
 //     the global sequence generation for NOrec (which has no per-stripe
 //     metadata — the generation names the writing commit that invalidated
 //     the snapshot).

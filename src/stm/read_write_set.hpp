@@ -144,29 +144,6 @@ class ValueReadSet {
   std::vector<ValueReadEntry> entries_;
 };
 
-// Undo log for the 2PL-undo backend: the address and pre-image of every
-// in-place write, in write order. Rollback restores entries in reverse, so
-// repeated writes to one address (each logging the then-current value)
-// net out to the original pre-image.
-struct UndoEntry {
-  std::uint64_t* addr;
-  std::uint64_t value;  // pre-image captured just before the write
-};
-
-class UndoLog {
- public:
-  void record(std::uint64_t* addr, std::uint64_t value) {
-    entries_.push_back({addr, value});
-  }
-  void clear() noexcept { entries_.clear(); }
-  bool empty() const noexcept { return entries_.empty(); }
-  std::size_t size() const noexcept { return entries_.size(); }
-  const std::vector<UndoEntry>& entries() const noexcept { return entries_; }
-
- private:
-  std::vector<UndoEntry> entries_;
-};
-
 // Orecs write-locked by the running transaction, with the version word each
 // held before locking (needed both for abort rollback and for validating
 // reads that hit a stripe we already own through a different address).

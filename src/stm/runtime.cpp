@@ -8,16 +8,7 @@
 namespace rubic::stm {
 
 Runtime::Runtime(RuntimeConfig config)
-    : config_(config), active_backend_(config.backend) {
-  if (config.backend == BackendKind::k2plUndo) ensure_rwlocks();
-}
-
-void Runtime::ensure_rwlocks() {
-  if (rwlocks_ptr_.load(std::memory_order_acquire) != nullptr) return;
-  auto table = std::make_unique<RwLockTable>();
-  rwlocks_owner_ = std::move(table);
-  rwlocks_ptr_.store(rwlocks_owner_.get(), std::memory_order_release);
-}
+    : config_(config), active_backend_(config.backend) {}
 
 bool Runtime::try_set_backend(BackendKind kind) {
   {
@@ -31,7 +22,6 @@ bool Runtime::try_set_backend(BackendKind kind) {
     }
   }
   if (kind == backend()) return true;
-  if (kind == BackendKind::k2plUndo) ensure_rwlocks();
   // Flush cross-protocol reclamation state: after this no limbo entry
   // queued under the old protocol survives into the new one.
   drain_all_matured_quiescent();

@@ -15,7 +15,6 @@
 #include "src/stm/config.hpp"
 #include "src/stm/global_clock.hpp"
 #include "src/stm/orec_table.hpp"
-#include "src/stm/rwlock.hpp"
 #include "src/stm/stats.hpp"
 #include "src/stm/txn_desc.hpp"
 
@@ -53,7 +52,7 @@ class Runtime {
   // advanced and every limbo queue drained (via
   // drain_all_matured_quiescent), so no deferred free can straddle the
   // protocol change, and subsequent begin()s adopt `kind`. The version
-  // clock is shared by orec_swiss/tl2/2plundo and monotone across
+  // clock is shared by orec_swiss/tl2 and monotone across
   // switches; NOrec's sequence lock is independent state, quiescent-even
   // by construction.
   bool try_set_backend(BackendKind kind);
@@ -63,21 +62,6 @@ class Runtime {
   // here (not in the engine) because it is per-Runtime state, exactly like
   // the version clock the orec backend uses instead.
   std::atomic<std::uint64_t>& norec_seq() noexcept { return *norec_seq_; }
-
-  // Reader/writer lock table for the 2PL-undo backend. Allocated lazily
-  // (8 MiB, only runtimes that can run 2plundo pay for it): in the
-  // constructor when config.backend is k2plUndo, or inside try_set_backend
-  // before the first switch to it — both strictly before any transaction
-  // can dispatch into the engine.
-  RwLockTable& rwlocks() noexcept {
-    RwLockTable* t = rwlocks_ptr_.load(std::memory_order_acquire);
-    RUBIC_DCHECK_MSG(t != nullptr, "2plundo dispatched without a lock table");
-    return *t;
-  }
-
-  // 2PLSF-style starvation-resistance token: the one transaction allowed
-  // to wait on conflicts instead of aborting (see backend/twopl_undo.hpp).
-  std::atomic<TxnDesc*>& prio_token() noexcept { return prio_token_; }
 
   // Sum of every registered thread's statistics.
   TxnStatsSnapshot aggregate_stats() const;
@@ -108,16 +92,12 @@ class Runtime {
 
  private:
   void drain_matured(TxnDesc& ctx, std::uint64_t global);
-  void ensure_rwlocks();
 
   RuntimeConfig config_;
   std::atomic<BackendKind> active_backend_;
   GlobalClock clock_;
   OrecTable orecs_;
   util::CacheAligned<std::atomic<std::uint64_t>> norec_seq_{0};
-  std::unique_ptr<RwLockTable> rwlocks_owner_;
-  std::atomic<RwLockTable*> rwlocks_ptr_{nullptr};
-  std::atomic<TxnDesc*> prio_token_{nullptr};
 
   mutable std::mutex registry_mutex_;
   std::vector<std::unique_ptr<TxnDesc>> contexts_;

@@ -6,7 +6,6 @@
 #include "src/stm/backend/norec.hpp"
 #include "src/stm/backend/orec_swiss.hpp"
 #include "src/stm/backend/tl2.hpp"
-#include "src/stm/backend/twopl_undo.hpp"
 #include "src/stm/profiler.hpp"
 #include "src/stm/raw_access.hpp"
 #include "src/stm/runtime.hpp"
@@ -71,10 +70,6 @@ struct StmTelemetry {
         static StmTelemetry tl2 = make(BackendKind::kTl2);
         return tl2;
       }
-      case BackendKind::k2plUndo: {
-        static StmTelemetry twopl = make(BackendKind::k2plUndo);
-        return twopl;
-      }
       default: {
         static StmTelemetry orec = make(BackendKind::kOrecSwiss);
         return orec;
@@ -105,9 +100,6 @@ void TxnDesc::begin(bool first_attempt) {
       break;
     case BackendKind::kTl2:
       Tl2Engine::begin(*this);
-      break;
-    case BackendKind::k2plUndo:
-      TwoPlUndoEngine::begin(*this);
       break;
     default:
       OrecSwissEngine::begin(*this);
@@ -150,18 +142,14 @@ std::uint64_t TxnDesc::read_word(const std::uint64_t* addr) {
   check_word_aligned(addr);
   check_doomed();
   bump(stats_.reads);
-  // Read-own-writes first for the write-back engines: the buffer is the
-  // only place this transaction's own writes are visible. Under 2plundo
-  // the buffer is always empty (writes go in place) and the probe is one
-  // generation check.
+  // Read-own-writes first: the write-back buffer is the only place this
+  // transaction's own writes are visible.
   if (const WriteEntry* e = write_set_.find(addr)) return e->value;
   switch (backend_) {
     case BackendKind::kNorec:
       return NorecEngine::read_word(*this, addr);
     case BackendKind::kTl2:
       return Tl2Engine::read_word(*this, addr);
-    case BackendKind::k2plUndo:
-      return TwoPlUndoEngine::read_word(*this, addr);
     default:
       return OrecSwissEngine::read_word(*this, addr);
   }
@@ -180,9 +168,6 @@ void TxnDesc::write_word(std::uint64_t* addr, std::uint64_t value) {
     case BackendKind::kTl2:
       Tl2Engine::write_word(*this, addr, value);
       return;
-    case BackendKind::k2plUndo:
-      TwoPlUndoEngine::write_word(*this, addr, value);
-      return;
     default:
       OrecSwissEngine::write_word(*this, addr, value);
       return;
@@ -198,11 +183,7 @@ void TxnDesc::commit() {
     // throws RetriesExhausted once the budget is spent).
     conflict_abort(AbortCause::kFaultInjected);
   }
-  // 2plundo writes in place: its write set is always empty and "read-only"
-  // means "logged no pre-image".
-  const bool read_only = backend_ == BackendKind::k2plUndo
-                             ? undo_.empty()
-                             : write_set_.empty();
+  const bool read_only = write_set_.empty();
   // Protocol-specific validation + publication. Throws detail::AbortTx on
   // failure; everything below is the shared success epilogue, identical
   // for every engine.
@@ -212,9 +193,6 @@ void TxnDesc::commit() {
       break;
     case BackendKind::kTl2:
       Tl2Engine::commit_writes(*this);
-      break;
-    case BackendKind::k2plUndo:
-      TwoPlUndoEngine::commit_writes(*this);
       break;
     default:
       OrecSwissEngine::commit_writes(*this);
@@ -249,26 +227,16 @@ void TxnDesc::commit() {
   value_reads_.clear();
   write_set_.clear();
   owned_.clear();
-  undo_.clear();
-  rlocks_.clear();
-  wlocks_.clear();
   trace::emit(trace::EventType::kTxnCommit, ctx_id_, last_commit_ts_);
 }
 
 void TxnDesc::rollback(AbortCause cause) {
   RUBIC_CHECK_MSG(active(), "rollback without a running transaction");
-  if (backend_ == BackendKind::k2plUndo) {
-    // Eager engine: restore pre-images and release the rw locks. Must run
-    // before the alloc free below — undo entries may point into
-    // speculative allocations.
-    TwoPlUndoEngine::rollback(*this);
-  } else {
-    // The orec-word engines release write-locked stripes; under NOrec the
-    // owned set is always empty and this is a no-op.
-    OrecSwissEngine::rollback_locks(*this);
-  }
-  // Speculative allocations were never published (write-back buffers, or
-  // 2plundo pre-images just restored), free eagerly.
+  // Every engine buffers its writes, so shared memory was never touched:
+  // rollback only releases the stripes the orec-word engines locked (under
+  // NOrec the owned set is always empty and this is a no-op).
+  OrecSwissEngine::rollback_locks(*this);
+  // Speculative allocations were never published, free eagerly.
   for (void* p : allocs_) ::operator delete(p);
   allocs_.clear();
   frees_.clear();  // deferred frees are cancelled with the transaction
@@ -288,9 +256,6 @@ void TxnDesc::rollback(AbortCause cause) {
   value_reads_.clear();
   write_set_.clear();
   owned_.clear();
-  undo_.clear();
-  rlocks_.clear();
-  wlocks_.clear();
   trace::emit(trace::EventType::kTxnAbort, ctx_id_,
               static_cast<std::uint64_t>(cause));
 }

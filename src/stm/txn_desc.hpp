@@ -4,16 +4,14 @@
 // The concurrency-control protocol behind those entry points is pluggable
 // (RuntimeConfig::backend, switchable online at quiescent points): the
 // orec-based SwissTM/TL2 hybrid in backend/orec_swiss.*, the NOrec engine
-// in backend/norec.*, the pure commit-time TL2 in backend/tl2.*, or the
-// eager 2PL-undo engine in backend/twopl_undo.*. TxnDesc owns the
-// protocol-independent pieces — lifecycle checks, statistics, telemetry,
-// tracing, fault injection, transactional allocation and epoch-based
-// reclamation — and tag-dispatches the per-word work to the engine adopted
-// at begin(). The write-back engines never touch shared state before
-// commit; 2PL-undo writes in place under write locks and restores
-// pre-images from its undo log on abort. Engine hot paths are
-// header-inline and compiled only into txn_desc.cpp, keeping the dispatch
-// a single predictable branch.
+// in backend/norec.*, or the pure commit-time TL2 in backend/tl2.*. TxnDesc
+// owns the protocol-independent pieces — lifecycle checks, statistics,
+// telemetry, tracing, fault injection, transactional allocation and
+// epoch-based reclamation — and tag-dispatches the per-word work to the
+// engine adopted at begin(). Every engine buffers its writes, so shared
+// memory is untouched until commit and an abort only releases locks.
+// Engine hot paths are header-inline and compiled only into txn_desc.cpp,
+// keeping the dispatch a single predictable branch.
 #pragma once
 
 #include <atomic>
@@ -31,7 +29,6 @@
 namespace rubic::stm {
 
 class Runtime;
-struct RwLock;
 
 namespace detail {
 // Control-flow exception that unwinds the user transaction body back to the
@@ -118,19 +115,10 @@ class alignas(util::kCacheLineSize) TxnDesc {
   BackendKind backend() const noexcept { return backend_; }
 
   std::size_t read_set_size() const noexcept {
-    switch (backend_) {
-      case BackendKind::kNorec:
-        return value_reads_.size();
-      case BackendKind::k2plUndo:
-        return rlocks_.size();  // read-lock units, one per transactional read
-      default:
-        return read_set_.size();
-    }
+    return backend_ == BackendKind::kNorec ? value_reads_.size()
+                                           : read_set_.size();
   }
-  std::size_t write_set_size() const noexcept {
-    return backend_ == BackendKind::k2plUndo ? wlocks_.size()
-                                             : write_set_.size();
-  }
+  std::size_t write_set_size() const noexcept { return write_set_.size(); }
 
   // Serialization-point diagnostics, valid after a successful commit and
   // until the next begin(): the commit timestamp of the last writing
@@ -138,13 +126,10 @@ class alignas(util::kCacheLineSize) TxnDesc {
   // (after any extensions / snapshot re-adoptions). A writing transaction
   // serializes at last_commit_timestamp(); a read-only one at
   // last_read_timestamp(). Every backend provides the same contract —
-  // orec_swiss/tl2/2plundo use version-clock timestamps (a 2PL-undo writer
-  // draws its timestamp while still holding every lock; a 2PL-undo reader
-  // adopts the clock value read before releasing its read locks), NOrec
-  // the global sequence (post-publish value for writers, final snapshot
-  // for readers) — so tests/test_stm_serializability.cpp replays the
-  // global commit order against these to verify serializability
-  // end-to-end on every engine.
+  // orec_swiss/tl2 use version-clock timestamps, NOrec the global sequence
+  // (post-publish value for writers, final snapshot for readers) — so
+  // tests/test_stm_serializability.cpp replays the global commit order
+  // against these to verify serializability end-to-end on every engine.
   std::uint64_t last_commit_timestamp() const noexcept {
     return last_commit_ts_;
   }
@@ -179,7 +164,6 @@ class alignas(util::kCacheLineSize) TxnDesc {
   friend struct OrecSwissEngine;
   friend struct NorecEngine;
   friend struct Tl2Engine;
-  friend struct TwoPlUndoEngine;
 
   [[noreturn]] void conflict_abort(AbortCause cause);
   void check_doomed();
@@ -213,24 +197,12 @@ class alignas(util::kCacheLineSize) TxnDesc {
   // Hot-path layout note: read_set_/write_set_/owned_ keep the original
   // declaration order (write_set_.find runs on every single read), and the
   // NOrec-only value log sits after them so the orec backend's working set
-  // spans the same cache lines as before the backend split.
-  ReadSet read_set_;    // orec backend: (orec, seen-version) log
-  WriteSet write_set_;  // both backends: write-back buffer
+  // spans the same cache lines as before the backend split. The whole
+  // descriptor is 512 bytes, 8 cache lines.
+  ReadSet read_set_;    // orec/tl2 backends: (orec, seen-version) log
+  WriteSet write_set_;  // every backend: write-back buffer
   OwnedSet owned_;      // orec/tl2 backends: write-locked stripes
   ValueReadSet value_reads_;  // norec backend: (address, value) log
-
-  // 2PL-undo backend state: pre-image log for the in-place writes, plus the
-  // reader/writer locks currently held (rlocks_ holds one entry per read
-  // unit — duplicates are real and each is released individually).
-  UndoLog undo_;
-  std::vector<RwLock*> rlocks_;
-  std::vector<RwLock*> wlocks_;
-  // Starvation-resistance bookkeeping: consecutive aborts since the last
-  // commit; once it crosses the engine's threshold the transaction tries to
-  // claim the runtime-wide priority token at begin() and may then wait on
-  // conflicts instead of aborting. prio_holder_ caches token ownership.
-  std::uint32_t consec_aborts_ = 0;
-  bool prio_holder_ = false;
 
   std::vector<void*> allocs_;
   std::vector<void*> frees_;

@@ -1,6 +1,9 @@
 // Internal JSON building blocks shared by the telemetry snapshot and the
 // controller audit log (not installed; the public surface is the typed
-// to_json/parse functions in telemetry.hpp and audit.hpp).
+// to_json/parse functions in telemetry.hpp and audit.hpp). append_escaped
+// is the one JSON string escaper of the repo: every writer (trace export,
+// traffic report, the bench, synchro and co-location reports) goes through
+// it, so a control character is escaped everywhere instead of dropped.
 //
 // Writer side: append_* helpers produce deterministic bytes — %.17g for
 // doubles (round-trips exactly; non-finite becomes null, same convention as
@@ -70,6 +73,13 @@ inline void append_escaped(std::string& out, std::string_view text) {
         }
     }
   }
+}
+
+// append_escaped into a fresh string, for printf-style writers.
+inline std::string escaped(std::string_view text) {
+  std::string out;
+  append_escaped(out, text);
+  return out;
 }
 
 struct Cursor {

@@ -261,25 +261,22 @@ Registry& registry() {
 namespace {
 
 using jsonutil::append_double;
+using jsonutil::append_escaped;
 using jsonutil::append_u64;
 using jsonutil::Cursor;
 
-void append_json_escaped(std::string& out, std::string_view text) {
-  jsonutil::append_escaped(out, text);
-}
-
 void append_metric_json(std::string& out, const MetricSnapshot& metric) {
   out += "{\"name\":\"";
-  append_json_escaped(out, metric.name);
+  append_escaped(out, metric.name);
   out += "\",\"labels\":{";
   bool first = true;
   for (const auto& [key, value] : metric.labels) {
     if (!first) out += ',';
     first = false;
     out += '"';
-    append_json_escaped(out, key);
+    append_escaped(out, key);
     out += "\":\"";
-    append_json_escaped(out, value);
+    append_escaped(out, value);
     out += '"';
   }
   out += "},\"type\":\"";

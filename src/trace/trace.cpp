@@ -9,6 +9,8 @@
 #include <cstring>
 #include <limits>
 
+#include "src/telemetry/json.hpp"
+
 namespace rubic::trace {
 
 namespace detail {
@@ -16,6 +18,8 @@ std::atomic<Tracer*> g_tracer{nullptr};
 }  // namespace detail
 
 namespace {
+
+using telemetry::jsonutil::append_escaped;
 
 constexpr std::string_view kEventNames[kEventTypeCount] = {
     "txn_begin",      "txn_commit",   "txn_abort",
@@ -52,13 +56,6 @@ void append_double(std::string& out, double v) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   out += buf;
-}
-
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) >= 0x20) out.push_back(c);
-  }
 }
 
 }  // namespace
@@ -303,7 +300,7 @@ void append_chrome_common(std::string& out, std::string_view name,
                           std::string_view phase, std::uint64_t ts_ns,
                           std::int64_t pid, std::uint32_t tid) {
   out += "{\"name\":\"";
-  append_json_escaped(out, name);
+  append_escaped(out, name);
   out += "\",\"ph\":\"";
   out += phase;
   out += "\",\"ts\":";
@@ -333,7 +330,7 @@ std::string to_chrome_events(const Tracer& tracer, std::int64_t pid,
     out += buf;
   }
   out += ",\"args\":{\"name\":\"";
-  append_json_escaped(out, process_name);
+  append_escaped(out, process_name);
   out += "\"}}\n";
   for (const Tracer::ThreadTrace& trace : tracer.drain()) {
     append_chrome_common(out, "thread_name", "M", 0, pid, trace.tid);

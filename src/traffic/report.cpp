@@ -2,17 +2,12 @@
 
 #include <cstdio>
 
+#include "src/telemetry/json.hpp"
+
 namespace rubic::traffic {
 namespace {
 
-std::string json_escape(const std::string& in) {
-  std::string out;
-  for (char c : in) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) >= 0x20) out.push_back(c);
-  }
-  return out;
-}
+using telemetry::jsonutil::escaped;
 
 void append_phase(std::string& out, const PhaseSummary& phase,
                   const char* indent, bool last) {
@@ -23,7 +18,7 @@ void append_phase(std::string& out, const PhaseSummary& phase,
       "\"scheduled\": %llu, \"completed\": %llu, \"slo_ok\": %llu, "
       "\"slo_attainment\": %.4f, \"p50_us\": %.1f, \"p99_us\": %.1f, "
       "\"p999_us\": %.1f, \"mean_us\": %.1f, \"max_backlog\": %llu}%s\n",
-      indent, json_escape(phase.name).c_str(), phase.seconds,
+      indent, escaped(phase.name).c_str(), phase.seconds,
       phase.offered_rps, static_cast<unsigned long long>(phase.scheduled),
       static_cast<unsigned long long>(phase.completed),
       static_cast<unsigned long long>(phase.slo_ok), phase.slo_attainment,
@@ -48,13 +43,13 @@ std::string format_traffic_report(const TrafficConfig& config,
       "\"curve\": \"%s\"},\n"
       "  \"runs\": [\n",
       static_cast<int>(kReportSchema.size()), kReportSchema.data(),
-      json_escape(config.mix).c_str(), json_escape(config.dist).c_str(),
+      escaped(config.mix).c_str(), escaped(config.dist).c_str(),
       config.theta, static_cast<unsigned long long>(config.keys),
       static_cast<unsigned long long>(config.accounts), config.clients,
       static_cast<unsigned long long>(config.scan_len),
       static_cast<unsigned long long>(config.seed),
       static_cast<unsigned long long>(config.slo_us),
-      json_escape(config.curve).c_str());
+      escaped(config.curve).c_str());
   out += buffer;
 
   for (std::size_t i = 0; i < runs.size(); ++i) {
@@ -67,9 +62,9 @@ std::string format_traffic_report(const TrafficConfig& config,
         "     \"makespan_s\": %.3f, \"scheduled\": %llu, "
         "\"dispatched\": %llu, \"executed\": %llu, \"mean_level\": %.2f, "
         "\"final_level\": %d, \"commits\": %llu, \"aborts\": %llu,\n",
-        json_escape(run.policy).c_str(), json_escape(run.backend).c_str(),
+        escaped(run.policy).c_str(), escaped(run.backend).c_str(),
         run.completed ? "true" : "false", run.verified ? "true" : "false",
-        json_escape(run.verify_error).c_str(), run.makespan_s,
+        escaped(run.verify_error).c_str(), run.makespan_s,
         static_cast<unsigned long long>(s.scheduled),
         static_cast<unsigned long long>(s.dispatched),
         static_cast<unsigned long long>(s.executed), run.mean_level,
@@ -100,8 +95,8 @@ std::string format_bench_results(const TrafficConfig& config,
                 "  \"reps\": 1,\n"
                 "  \"git_sha\": \"%s\",\n"
                 "  \"results\": [\n",
-                json_escape(config.mix).c_str(),
-                json_escape(git_sha).c_str());
+                escaped(config.mix).c_str(),
+                escaped(git_sha).c_str());
   out += buffer;
 
   const auto emit = [&](const std::string& name, const char* metric,
@@ -111,7 +106,7 @@ std::string format_bench_results(const TrafficConfig& config,
                   "\"better\": \"%s\", \"gate\": false, "
                   "\"median\": %.6g, \"p95\": %.6g, \"min\": %.6g, "
                   "\"mean\": %.6g, \"values\": [%.6g]}%s\n",
-                  json_escape(name).c_str(), metric, better, value, value,
+                  escaped(name).c_str(), metric, better, value, value,
                   value, value, value, last ? "" : ",");
     out += buffer;
   };

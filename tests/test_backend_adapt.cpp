@@ -72,7 +72,7 @@ BackendSignal tput(double t) {
 TEST(AdaptiveSchedule, WarmsUpProbesEveryCandidateThenCommitsToArgmax) {
   auto adaptive = make_adaptive(/*initial=*/1);
   const int n = static_cast<int>(adaptive->candidates().size());
-  ASSERT_EQ(n, 4);
+  ASSERT_EQ(n, 3);
 
   // Warmup: the initial backend holds.
   for (int i = 0; i < AdaptiveController::kWarmupRounds; ++i) {
@@ -81,7 +81,7 @@ TEST(AdaptiveSchedule, WarmsUpProbesEveryCandidateThenCommitsToArgmax) {
   }
   // Probe phase: each candidate in list order, skip rounds then scored
   // rounds; candidate 2 gets the highest throughput.
-  const double scores[] = {50.0, 80.0, 120.0, 60.0};
+  const double scores[] = {50.0, 80.0, 120.0};
   std::vector<int> visited;
   for (int c = 0; c < n; ++c) {
     visited.push_back(adaptive->desired_backend());
@@ -92,7 +92,7 @@ TEST(AdaptiveSchedule, WarmsUpProbesEveryCandidateThenCommitsToArgmax) {
       adaptive->on_backend_signal(tput(scores[c]));
     }
   }
-  EXPECT_EQ(visited, (std::vector<int>{0, 1, 2, 3}))
+  EXPECT_EQ(visited, (std::vector<int>{0, 1, 2}))
       << "probe must visit every candidate in order";
   EXPECT_EQ(adaptive->desired_backend(), 2) << "argmax candidate must win";
 }
@@ -124,10 +124,10 @@ TEST(AdaptiveSchedule, SustainedDegradationTriggersReprobe) {
 }
 
 TEST(AdaptiveSchedule, ResetRestoresTheInitialBackend) {
-  auto adaptive = make_adaptive(/*initial=*/3);
+  auto adaptive = make_adaptive(/*initial=*/2);
   for (int i = 0; i < 40; ++i) adaptive->on_backend_signal(tput(100.0));
   adaptive->reset();
-  EXPECT_EQ(adaptive->desired_backend(), 3);
+  EXPECT_EQ(adaptive->desired_backend(), 2);
 }
 
 // --- factory forms ---------------------------------------------------------
@@ -267,7 +267,7 @@ TEST(QuiescentSwitch, RunQuiescedSwitchesUnderLiveLoad) {
   // Walk the runtime through every engine while the pool hammers it.
   for (const stm::BackendKind kind :
        {stm::BackendKind::kNorec, stm::BackendKind::kTl2,
-        stm::BackendKind::k2plUndo, stm::BackendKind::kOrecSwiss}) {
+        stm::BackendKind::kOrecSwiss}) {
     bool switched = false;
     pool.run_quiesced([&] { switched = rt.try_set_backend(kind); });
     EXPECT_TRUE(switched) << "quiesced pool must allow the switch";
@@ -277,7 +277,7 @@ TEST(QuiescentSwitch, RunQuiescedSwitchesUnderLiveLoad) {
         << "pool must resume after the switch";
   }
   pool.stop();
-  // Every increment survived four protocol changes.
+  // Every increment survived three protocol changes.
   EXPECT_EQ(workload.total(),
             static_cast<std::int64_t>(pool.total_completed()));
 }
@@ -361,7 +361,7 @@ TEST(AdaptiveMonitor, SwitchesBackendsOnlineWithoutLosingUpdates) {
   // The probe schedule guarantees at least one switch inside 40 rounds
   // (warmup 4, then candidate 1 becomes desired at round ~9).
   EXPECT_GE(run.switches, 1u);
-  // Every task was one counter increment; four engines interleaved must
+  // Every task was one counter increment; engines interleaved must
   // not lose or duplicate a single one.
   EXPECT_EQ(run.workload_total,
             static_cast<std::int64_t>(run.tasks_completed));

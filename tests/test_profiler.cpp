@@ -317,41 +317,6 @@ TEST(ProfilerAttribution, Tl2CommitAbortNamesTheHotStripe) {
   EXPECT_EQ(pairs[0].owner, "prof:tl2owner");
 }
 
-TEST(ProfilerAttribution, TwoPlUndoNoWaitAbortNamesTheHotStripe) {
-  Runtime rt(with_backend(BackendKind::k2plUndo));
-  TxnDesc& holder = rt.register_thread();
-  TxnDesc& victim = rt.register_thread();
-  TVar<std::int64_t> hot(0), cold(0);
-  profiler::Armed armed;
-  const std::uint16_t owner_id = profiler::intern_label("prof:2plowner");
-  const auto clash = [&](TVar<std::int64_t>& var) {
-    profiler::set_current_label(owner_id);
-    holder.begin(true);
-    Txn htx(holder);
-    var.write(htx, 1);  // eager engine: write lock held in place
-    profiler::set_current_label(profiler::kUnlabeled);
-    victim.begin(true);
-    Txn vtx(victim);
-    EXPECT_THROW(var.write(vtx, 9), detail::AbortTx);
-    victim.rollback(AbortCause::kWriteConflict);
-    holder.commit();
-  };
-  for (int i = 0; i < kHot; ++i) clash(hot);
-  clash(cold);
-
-  const ContentionSnapshot snap = profiler::snapshot();
-  const auto top = profiler::hotspots(snap);
-  ASSERT_FALSE(top.empty());
-  EXPECT_EQ(top[0].stripe,
-            rt.rwlocks().index_of(rt.rwlocks().for_address(&hot)));
-  EXPECT_EQ(top[0].backend, "2plundo");
-  EXPECT_EQ(top[0].total, static_cast<std::uint64_t>(kHot));
-  EXPECT_EQ(top[0].causes[0].first, "write_conflict");
-  const auto pairs = profiler::conflict_pairs(snap);
-  ASSERT_FALSE(pairs.empty());
-  EXPECT_EQ(pairs[0].owner, "prof:2plowner");
-}
-
 TEST(ProfilerAttribution, NorecValidationFailureNamesTheGeneration) {
   // NOrec has no per-stripe metadata: attribution names the global
   // sequence generation of the writing commit that invalidated the

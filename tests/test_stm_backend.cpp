@@ -5,12 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <stdexcept>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "src/stm/backend/twopl_undo.hpp"
 #include "src/stm/stm.hpp"
 #include "src/util/spin_barrier.hpp"
 #include "src/workloads/registry.hpp"
@@ -26,7 +25,7 @@ RuntimeConfig with_backend(BackendKind backend) {
 
 TEST(BackendRegistry, NamesAndParseRoundTrip) {
   const auto all = known_backends();
-  ASSERT_EQ(all.size(), 4u);
+  ASSERT_EQ(all.size(), 3u);
   for (const BackendKind k : all) {
     const auto parsed = parse_backend(backend_name(k));
     ASSERT_TRUE(parsed.has_value()) << backend_name(k);
@@ -35,7 +34,6 @@ TEST(BackendRegistry, NamesAndParseRoundTrip) {
   EXPECT_EQ(backend_name(BackendKind::kOrecSwiss), "orec_swiss");
   EXPECT_EQ(backend_name(BackendKind::kNorec), "norec");
   EXPECT_EQ(backend_name(BackendKind::kTl2), "tl2");
-  EXPECT_EQ(backend_name(BackendKind::k2plUndo), "2plundo");
 }
 
 TEST(BackendRegistry, ParseRejectsUnknownNames) {
@@ -44,6 +42,24 @@ TEST(BackendRegistry, ParseRejectsUnknownNames) {
   EXPECT_FALSE(parse_backend("2pl").has_value());
   EXPECT_FALSE(parse_backend("OREC_SWISS").has_value());
   EXPECT_FALSE(parse_backend("norec ").has_value());
+}
+
+TEST(BackendRegistry, RetiredTokenFailsLoudly) {
+  // The eager 2PL-undo engine ("2plundo") was retired. A stale script or CI
+  // line naming it must fail, never silently run another engine.
+  EXPECT_FALSE(parse_backend("2plundo").has_value());
+  // A fresh process (threadsafe style re-executes the binary) so the cached
+  // default is read from the environment set inside the child.
+  const std::string style = ::testing::FLAGS_gtest_death_test_style;
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ::setenv("RUBIC_STM_BACKEND", "2plundo", 1);
+        (void)default_backend();
+      },
+      "RUBIC_STM_BACKEND='2plundo' is not a known backend "
+      "\\(known: orec_swiss norec tl2\\)");
+  ::testing::FLAGS_gtest_death_test_style = style;
 }
 
 TEST(BackendRegistry, TxnDescReportsItsRuntimeBackend) {
@@ -293,154 +309,6 @@ TEST(Tl2Protocol, CommitDetectsInterveningWriter) {
   EXPECT_THROW(a.commit(), detail::AbortTx);
   a.rollback(AbortCause::kValidationFailed);
   EXPECT_EQ(x.unsafe_read(), 100) << "B's commit must survive";
-}
-
-TEST(TwoPlProtocol, WritesGoInPlaceAndUndoRestoresPreImages) {
-  Runtime rt(with_backend(BackendKind::k2plUndo));
-  TxnDesc& ctx = rt.register_thread();
-  TVar<std::int64_t> x(1);
-  atomically(ctx, [&](Txn& tx) {
-    x.write(tx, 2);
-    EXPECT_EQ(x.unsafe_read(), 2) << "eager engine writes in place";
-    EXPECT_EQ(x.read(tx), 2) << "read-after-own-write loads memory";
-  });
-  EXPECT_EQ(x.unsafe_read(), 2);
-  // Aborted attempts must restore the pre-image, even through repeated
-  // writes to one address.
-  int attempts = 0;
-  EXPECT_THROW(atomically(ctx,
-                          [&](Txn& tx) {
-                            ++attempts;
-                            x.write(tx, 50);
-                            x.write(tx, 60);
-                            throw std::logic_error("boom");
-                          }),
-               std::logic_error);
-  EXPECT_EQ(attempts, 1);
-  EXPECT_EQ(x.unsafe_read(), 2) << "undo log must restore the pre-image";
-  const RwLock& l = rt.rwlocks().for_address(&x);
-  EXPECT_EQ(l.load(), 0u) << "all locks released after abort";
-}
-
-TEST(TwoPlProtocol, CommitTimestampDrawnWhileHoldingLocks) {
-  Runtime rt(with_backend(BackendKind::k2plUndo));
-  TxnDesc& ctx = rt.register_thread();
-  TVar<std::int64_t> x(0);
-  for (int i = 1; i <= 3; ++i) {
-    atomically(ctx, [&](Txn& tx) { x.write(tx, x.read(tx) + 1); });
-    EXPECT_EQ(ctx.last_commit_timestamp(), static_cast<std::uint64_t>(i));
-  }
-  // Read-only: serializes at the clock value read at commit.
-  atomically(ctx, [&](Txn& tx) { (void)x.read(tx); });
-  EXPECT_EQ(ctx.last_commit_timestamp(), 0u);
-  EXPECT_EQ(ctx.last_read_timestamp(), 3u);
-  EXPECT_EQ(rt.aggregate_stats().read_only_commits, 1u);
-}
-
-TEST(TwoPlProtocol, ConflictingWriterAbortsWithoutWaiting) {
-  Runtime rt(with_backend(BackendKind::k2plUndo));
-  TxnDesc& holder = rt.register_thread();
-  TVar<std::int64_t> x(0);
-  holder.begin(true);
-  Txn htx(holder);
-  x.write(htx, 1);  // holder now write-locks x's stripe
-
-  // A second context must abort immediately on the held lock (the no-wait
-  // rule that keeps eager 2PL deadlock-free), never block.
-  TxnDesc& contender = rt.register_thread();
-  contender.begin(true);
-  Txn ctx2(contender);
-  EXPECT_THROW(x.write(ctx2, 9), detail::AbortTx);
-  contender.rollback(AbortCause::kWriteConflict);
-  EXPECT_EQ(snapshot(contender.stats())
-                .aborts[static_cast<std::size_t>(AbortCause::kWriteConflict)],
-            1u);
-  holder.commit();
-  EXPECT_EQ(x.unsafe_read(), 1);
-}
-
-TEST(TwoPlProtocol, UpgradeOwnReadLockToWriteLock) {
-  Runtime rt(with_backend(BackendKind::k2plUndo));
-  TxnDesc& ctx = rt.register_thread();
-  TVar<std::int64_t> x(7);
-  atomically(ctx, [&](Txn& tx) {
-    const auto v = x.read(tx);   // read lock
-    const auto v2 = x.read(tx);  // second read unit on the same stripe
-    EXPECT_EQ(v, v2);
-    x.write(tx, v + 1);  // upgrade: all units are ours
-  });
-  EXPECT_EQ(x.unsafe_read(), 8);
-  const RwLock& l = rt.rwlocks().for_address(&x);
-  EXPECT_EQ(l.load(), 0u) << "upgrade must not leak read units";
-}
-
-TEST(TwoPlProtocol, ForeignReaderBlocksUpgradeWithoutDeadlock) {
-  Runtime rt(with_backend(BackendKind::k2plUndo));
-  TxnDesc& reader = rt.register_thread();
-  TxnDesc& upgrader = rt.register_thread();
-  TVar<std::int64_t> x(0);
-  reader.begin(true);
-  Txn rtx(reader);
-  (void)x.read(rtx);  // foreign read unit on x's stripe
-
-  upgrader.begin(true);
-  Txn utx(upgrader);
-  (void)x.read(utx);
-  // Upgrade sees a foreign unit: the no-wait rule aborts immediately.
-  EXPECT_THROW(x.write(utx, 1), detail::AbortTx);
-  upgrader.rollback(AbortCause::kWriteConflict);
-  reader.commit();
-  const RwLock& l = rt.rwlocks().for_address(&x);
-  EXPECT_EQ(l.load(), 0u);
-}
-
-TEST(TwoPlProtocol, StarvationTokenClaimedAfterRepeatedAborts) {
-  Runtime rt(with_backend(BackendKind::k2plUndo));
-  TxnDesc& victim = rt.register_thread();
-  TxnDesc& holder = rt.register_thread();
-  TVar<std::int64_t> x(0);
-
-  holder.begin(true);
-  Txn htx(holder);
-  x.write(htx, 1);  // park a write lock on x's stripe
-
-  // Drive the victim past the escalation threshold.
-  for (std::uint32_t i = 0; i < TwoPlUndoEngine::kPrioAbortThreshold; ++i) {
-    victim.begin(i == 0);
-    EXPECT_EQ(rt.prio_token().load(), nullptr)
-        << "escalation must not trigger before the threshold (attempt " << i
-        << ")";
-    Txn vtx(victim);
-    EXPECT_THROW(x.write(vtx, 9), detail::AbortTx);
-    victim.rollback(AbortCause::kWriteConflict);
-  }
-  // The next attempt crosses the threshold and claims the token.
-  victim.begin(false);
-  EXPECT_EQ(rt.prio_token().load(), &victim)
-      << "the starving transaction must hold the priority token";
-  {
-    Txn vtx(victim);
-    TVar<std::int64_t> y(0);
-    y.write(vtx, 1);  // free stripe: commits cleanly
-    victim.commit();
-  }
-  EXPECT_EQ(rt.prio_token().load(), nullptr)
-      << "commit must hand the token back";
-  holder.commit();
-  EXPECT_EQ(x.unsafe_read(), 1);
-}
-
-TEST(TwoPlProtocol, RwLockTableAllocatedOnlyWhenNeeded) {
-  // The 8 MiB rwlock table is lazily allocated: orec-family runtimes never
-  // pay for it, a 2plundo runtime allocates it at construction, and an
-  // online switch allocates it before the first 2plundo transaction.
-  Runtime orec_rt(with_backend(BackendKind::kOrecSwiss));
-  Runtime twopl_rt(with_backend(BackendKind::k2plUndo));
-  EXPECT_TRUE(orec_rt.try_set_backend(BackendKind::k2plUndo));
-  TxnDesc& ctx = orec_rt.register_thread();
-  TVar<std::int64_t> x(0);
-  atomically(ctx, [&](Txn& tx) { x.write(tx, 5); });
-  EXPECT_EQ(x.unsafe_read(), 5);
 }
 
 TEST(BackendCoexistence, MixedRuntimesShareOneProcess) {

@@ -104,15 +104,13 @@ TEST_F(StmTest, ReadWriteCommit) {
   EXPECT_EQ(stats.total_aborts(), 0u);
 }
 
-TEST_F(StmTest, WriteVisibilityMatchesEngineFamily) {
-  // Write-back engines must defer publication until commit; the eager
-  // 2plundo engine writes in place under its write lock (and is covered by
-  // the undo-restore assertions elsewhere).
-  const bool eager = rt_.backend() == BackendKind::k2plUndo;
+TEST_F(StmTest, WriteStaysInvisibleUntilCommit) {
+  // Every engine buffers its writes: memory holds the old value until the
+  // commit publishes the new one.
   TVar<std::int64_t> x(1);
   atomically(ctx_, [&](Txn& tx) {
     x.write(tx, 2);
-    EXPECT_EQ(x.unsafe_read(), eager ? 2 : 1);
+    EXPECT_EQ(x.unsafe_read(), 1);
   });
   EXPECT_EQ(x.unsafe_read(), 2);
 }
@@ -141,15 +139,13 @@ TEST_F(StmTest, ReturnsBodyValue) {
 }
 
 TEST_F(StmTest, FlatNestingJoinsOuterTransaction) {
-  const bool eager = rt_.backend() == BackendKind::k2plUndo;
   TVar<std::int64_t> x(0);
   atomically(ctx_, [&](Txn&) {
     atomically(ctx_, [&](Txn& inner) { x.write(inner, 7); });
-    // The inner "transaction" must not have committed independently: the
-    // write-back engines still hold it in the buffer; the eager engine has
-    // stored it but still owns the write lock (an independent commit would
-    // have released it and bumped the commit counter, checked below).
-    EXPECT_EQ(x.unsafe_read(), eager ? 7 : 0);
+    // The inner "transaction" must not have committed independently: its
+    // write is still in the outer transaction's buffer (an independent
+    // commit would also have bumped the commit counter, checked below).
+    EXPECT_EQ(x.unsafe_read(), 0);
   });
   EXPECT_EQ(x.unsafe_read(), 7);
   EXPECT_EQ(rt_.aggregate_stats().commits, 1u);

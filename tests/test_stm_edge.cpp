@@ -71,17 +71,14 @@ TEST(StmAliasing, AliasedWritesBothCommit) {
   EXPECT_FALSE(is_locked(orec.load()));
 }
 
-// Several tests below drive hand-rolled lock-step interleavings that only
-// make sense for specific protocol families; they skip on engines whose
-// semantics differ by design (TL2 never extends; the eager 2plundo engine
-// holds reads locked, so a lock-step foreign writer would spin forever).
+// The tests below drive hand-rolled lock-step interleavings on the default
+// engine; the extension test skips on TL2, which never extends.
 bool default_backend_is(BackendKind k) { return RuntimeConfig{}.backend == k; }
 
 TEST(StmExtension, ReadAfterForeignCommitExtends) {
   // A transaction that starts, then reads data committed *after* its start
   // timestamp, must extend (not abort) when its prior reads are untouched.
-  if (default_backend_is(BackendKind::kTl2) ||
-      default_backend_is(BackendKind::k2plUndo)) {
+  if (default_backend_is(BackendKind::kTl2)) {
     GTEST_SKIP() << "timestamp extension exists only on orec_swiss/norec";
   }
   Runtime rt;
@@ -105,9 +102,6 @@ TEST(StmExtension, ReadAfterForeignCommitExtends) {
 }
 
 TEST(StmExtension, ExtensionFailsWhenPriorReadIsStale) {
-  if (default_backend_is(BackendKind::k2plUndo)) {
-    GTEST_SKIP() << "the reader's lock would block the lock-step writer";
-  }
   Runtime rt;
   TxnDesc& reader = rt.register_thread();
   TxnDesc& writer = rt.register_thread();
@@ -247,9 +241,6 @@ TEST(StmWriteSet, RepeatedWritesToSameWordKeepLast) {
 }
 
 TEST(StmCommitTime, WritesDoNotLockUntilCommit) {
-  if (default_backend_is(BackendKind::k2plUndo)) {
-    GTEST_SKIP() << "2plundo is eager by definition";
-  }
   RuntimeConfig cfg;
   cfg.lock_timing = LockTiming::kCommitTime;
   Runtime rt(cfg);
@@ -269,9 +260,6 @@ TEST(StmCommitTime, WritesDoNotLockUntilCommit) {
 }
 
 TEST(StmCommitTime, CommitDetectsInterveningWriter) {
-  if (default_backend_is(BackendKind::k2plUndo)) {
-    GTEST_SKIP() << "A's read lock would block B; 2PL prevents the race";
-  }
   RuntimeConfig cfg;
   cfg.lock_timing = LockTiming::kCommitTime;
   Runtime rt(cfg);
@@ -296,9 +284,6 @@ TEST(StmCommitTime, CommitDetectsInterveningWriter) {
 TEST(StmCommitTime, BlindWritesCommute) {
   // Without reading, two buffered writers to the same word serialize
   // cleanly — the later committer simply overwrites (no validation entry).
-  if (default_backend_is(BackendKind::k2plUndo)) {
-    GTEST_SKIP() << "A's write lock would block B; no buffering to test";
-  }
   RuntimeConfig cfg;
   cfg.lock_timing = LockTiming::kCommitTime;
   Runtime rt(cfg);
@@ -317,10 +302,6 @@ TEST(StmClock, ReadOnlySnapshotIgnoresLaterCommits) {
   // Opacity probe: a read-only transaction that began before a writer
   // committed must observe either the full pre-state or abort — never a
   // mix. Single-threaded deterministic version of the bank test.
-  if (default_backend_is(BackendKind::k2plUndo)) {
-    GTEST_SKIP() << "the reader's locks block the writer: 2PL gives the "
-                    "property by mutual exclusion, not snapshots";
-  }
   Runtime rt;
   TxnDesc& reader = rt.register_thread();
   TxnDesc& writer = rt.register_thread();

@@ -17,12 +17,10 @@
 // Any opacity violation, lost update, torn snapshot or validation bug in
 // the STM shows up here as a concrete value mismatch. Runs over the
 // contention-manager × lock-timing matrix on the orec backend, on the
-// NOrec, TL2 and 2PL-undo backends (value validation, commit-time locking
-// and eager in-place locking each replay-verified end-to-end through the
-// same contract), and for every backend under an armed fault plan forcing
-// kFaultInjected commit aborts (the same forced conflicts
-// `rubic_colocate --fault-spec` arms — for 2PL-undo this also exercises
-// undo-restoration of already-published writes).
+// NOrec and TL2 backends (value validation and commit-time locking each
+// replay-verified end-to-end through the same contract), and for every
+// backend under an armed fault plan forcing kFaultInjected commit aborts
+// (the same forced conflicts `rubic_colocate --fault-spec` arms).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -158,7 +156,7 @@ TEST_P(SerializabilityTest, CommitOrderReplayMatchesEveryObservation) {
     return a->serialization_point < b->serialization_point;
   });
   // Commit timestamps are unique: one clock tick per writing commit on the
-  // orec/tl2/2plundo backends, one +2 sequence step per writing commit on
+  // orec/tl2 backends, one +2 sequence step per writing commit on
   // NOrec.
   for (std::size_t i = 1; i < writers.size(); ++i) {
     ASSERT_NE(writers[i - 1]->serialization_point,
@@ -242,13 +240,10 @@ INSTANTIATE_TEST_SUITE_P(
         SerializabilityCase{"Norec", BackendKind::kNorec,
                             CmPolicy::kTimidBackoff,
                             LockTiming::kEncounterTime, nullptr},
-        // TL2 and 2PL-undo ignore cm/lock-timing (commit-time only; eager
-        // rw locks respectively): one entry each, plus the fault-storm
-        // variants below, replay-verifies the whole protocol end-to-end.
+        // TL2 ignores cm/lock-timing (commit-time only): one entry, plus
+        // the fault-storm variant below, replay-verifies the whole protocol
+        // end-to-end.
         SerializabilityCase{"Tl2", BackendKind::kTl2, CmPolicy::kTimidBackoff,
-                            LockTiming::kEncounterTime, nullptr},
-        SerializabilityCase{"TwoPlUndo", BackendKind::k2plUndo,
-                            CmPolicy::kTimidBackoff,
                             LockTiming::kEncounterTime, nullptr},
         SerializabilityCase{"TimidEncounterOrecFaultStorm",
                             BackendKind::kOrecSwiss, CmPolicy::kTimidBackoff,
@@ -259,10 +254,6 @@ INSTANTIATE_TEST_SUITE_P(
                             LockTiming::kEncounterTime,
                             "seed=17;stm_conflict:prob=0.05"},
         SerializabilityCase{"Tl2FaultStorm", BackendKind::kTl2,
-                            CmPolicy::kTimidBackoff,
-                            LockTiming::kEncounterTime,
-                            "seed=17;stm_conflict:prob=0.05"},
-        SerializabilityCase{"TwoPlUndoFaultStorm", BackendKind::k2plUndo,
                             CmPolicy::kTimidBackoff,
                             LockTiming::kEncounterTime,
                             "seed=17;stm_conflict:prob=0.05"}),

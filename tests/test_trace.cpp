@@ -17,6 +17,7 @@
 #include "src/control/rubic.hpp"
 #include "src/runtime/process.hpp"
 #include "src/stm/stm.hpp"
+#include "src/telemetry/json.hpp"
 #include "src/workloads/rbset_workload.hpp"
 
 namespace rubic::trace {
@@ -211,6 +212,21 @@ TEST(TraceExport, ChromeTraceHasCounterTracksAndMetadata) {
             std::string::npos);
   EXPECT_NE(trace_json.find("\"monitor_anomaly\""), std::string::npos);
   EXPECT_NE(trace_json.find("\"pid\":1234"), std::string::npos);
+}
+
+TEST(TraceExport, ProcessNameWithControlCharactersRoundTrips) {
+  // A control character in a process name is escaped, never dropped: the
+  // metadata event stays valid JSON and parses back to the original name.
+  Tracer tracer;
+  const std::string name = "rbset\trubic";
+  const std::string trace_json = to_chrome_trace(tracer, 7, name);
+  const std::string key = "\"args\":{\"name\":";
+  const auto at = trace_json.find(key);
+  ASSERT_NE(at, std::string::npos) << trace_json;
+  telemetry::jsonutil::Cursor cursor{trace_json, at + key.size()};
+  std::string parsed;
+  ASSERT_TRUE(cursor.parse_string(&parsed)) << cursor.error;
+  EXPECT_EQ(parsed, name);
 }
 
 TEST(TraceExport, MergeSkipsTruncatedFragmentTails) {

@@ -18,6 +18,7 @@
 #include "src/fault/fault.hpp"
 #include "src/runtime/process.hpp"
 #include "src/stm/stm.hpp"
+#include "src/telemetry/json.hpp"
 #include "src/traffic/traffic.hpp"
 #include "src/util/listing.hpp"
 #include "src/util/rng.hpp"
@@ -501,6 +502,24 @@ TEST(Listing, RegistriesRoundTripThroughTheSharedPrinter) {
     expected += '\n';
   }
   EXPECT_EQ(rendered, expected);
+}
+
+TEST(TrafficReport, VerifyErrorWithControlCharactersRoundTrips) {
+  // A multi-line verifier message is escaped, never dropped: the report
+  // stays valid JSON and the error parses back byte for byte.
+  traffic::RunResult run;
+  run.policy = "fixed:2";
+  run.backend = "norec";
+  run.verify_error = "balance mismatch\nat key 7";
+  const std::string report =
+      traffic::format_traffic_report(traffic::TrafficConfig{}, {run});
+  const std::string key = "\"verify_error\": ";
+  const auto at = report.find(key);
+  ASSERT_NE(at, std::string::npos) << report;
+  telemetry::jsonutil::Cursor cursor{report, at + key.size()};
+  std::string parsed;
+  ASSERT_TRUE(cursor.parse_string(&parsed)) << cursor.error;
+  EXPECT_EQ(parsed, run.verify_error);
 }
 
 }  // namespace

@@ -37,6 +37,7 @@
 #include "src/control/rubic.hpp"
 #include "src/runtime/process.hpp"
 #include "src/stm/stm.hpp"
+#include "src/telemetry/json.hpp"
 #include "src/telemetry/telemetry.hpp"
 #include "src/trace/trace.hpp"
 #include "src/traffic/traffic.hpp"
@@ -48,6 +49,7 @@
 
 using namespace rubic;
 using namespace std::chrono;
+using telemetry::jsonutil::escaped;
 
 namespace {
 
@@ -704,7 +706,7 @@ std::vector<BenchDef> make_benches(milliseconds scenario_ms) {
        bench_stm_commit_profiler_disarmed_pct},
       // Cross-backend grid: the rmw8 numbers are gated for every engine (it
       // is each protocol's commit hot path end to end: reads, lock
-      // acquisition or undo, write-back or write-through, release); the
+      // acquisition, validation, write-back, release); the
       // read/write/lookup cells are recorded for cross-engine medians.
       {"backend_orec_read1_ns", "ns_per_op", "lower", false, false,
        [] { return bench_backend_read1_ns(stm::BackendKind::kOrecSwiss); }},
@@ -712,24 +714,18 @@ std::vector<BenchDef> make_benches(milliseconds scenario_ms) {
        [] { return bench_backend_read1_ns(stm::BackendKind::kNorec); }},
       {"backend_tl2_read1_ns", "ns_per_op", "lower", false, false,
        [] { return bench_backend_read1_ns(stm::BackendKind::kTl2); }},
-      {"backend_2plundo_read1_ns", "ns_per_op", "lower", false, false,
-       [] { return bench_backend_read1_ns(stm::BackendKind::k2plUndo); }},
       {"backend_orec_write1_ns", "ns_per_op", "lower", false, false,
        [] { return bench_backend_write1_ns(stm::BackendKind::kOrecSwiss); }},
       {"backend_norec_write1_ns", "ns_per_op", "lower", false, false,
        [] { return bench_backend_write1_ns(stm::BackendKind::kNorec); }},
       {"backend_tl2_write1_ns", "ns_per_op", "lower", false, false,
        [] { return bench_backend_write1_ns(stm::BackendKind::kTl2); }},
-      {"backend_2plundo_write1_ns", "ns_per_op", "lower", false, false,
-       [] { return bench_backend_write1_ns(stm::BackendKind::k2plUndo); }},
       {"backend_orec_rmw8_ns", "ns_per_op", "lower", true, false,
        [] { return bench_backend_rmw8_ns(stm::BackendKind::kOrecSwiss); }},
       {"backend_norec_rmw8_ns", "ns_per_op", "lower", false, false,
        [] { return bench_backend_rmw8_ns(stm::BackendKind::kNorec); }},
       {"backend_tl2_rmw8_ns", "ns_per_op", "lower", true, false,
        [] { return bench_backend_rmw8_ns(stm::BackendKind::kTl2); }},
-      {"backend_2plundo_rmw8_ns", "ns_per_op", "lower", true, false,
-       [] { return bench_backend_rmw8_ns(stm::BackendKind::k2plUndo); }},
       {"backend_orec_rbtree_lookup_ns", "ns_per_op", "lower", false, false,
        [] {
          return bench_backend_rbtree_lookup_ns(stm::BackendKind::kOrecSwiss);
@@ -738,10 +734,6 @@ std::vector<BenchDef> make_benches(milliseconds scenario_ms) {
        [] { return bench_backend_rbtree_lookup_ns(stm::BackendKind::kNorec); }},
       {"backend_tl2_rbtree_lookup_ns", "ns_per_op", "lower", false, false,
        [] { return bench_backend_rbtree_lookup_ns(stm::BackendKind::kTl2); }},
-      {"backend_2plundo_rbtree_lookup_ns", "ns_per_op", "lower", false, false,
-       [] {
-         return bench_backend_rbtree_lookup_ns(stm::BackendKind::k2plUndo);
-       }},
       // Per-structure RMW cells (src/tds/): the two new index structures
       // are gated — they are this PR's regression surface; the adapted
       // containers are recorded for cross-structure comparison.
@@ -807,15 +799,12 @@ std::vector<std::string> suite_members(const std::string& suite) {
     // The full engine grid on identical single-threaded op sequences —
     // one (backend, op) cell per entry; scripts/check_backend_grid.py
     // asserts every cell is present and sane in the nightly artifacts.
-    return {"backend_orec_read1_ns",          "backend_norec_read1_ns",
-            "backend_tl2_read1_ns",           "backend_2plundo_read1_ns",
-            "backend_orec_write1_ns",         "backend_norec_write1_ns",
-            "backend_tl2_write1_ns",          "backend_2plundo_write1_ns",
-            "backend_orec_rmw8_ns",           "backend_norec_rmw8_ns",
-            "backend_tl2_rmw8_ns",            "backend_2plundo_rmw8_ns",
-            "backend_orec_rbtree_lookup_ns",  "backend_norec_rbtree_lookup_ns",
-            "backend_tl2_rbtree_lookup_ns",
-            "backend_2plundo_rbtree_lookup_ns"};
+    return {"backend_orec_read1_ns",         "backend_norec_read1_ns",
+            "backend_tl2_read1_ns",          "backend_orec_write1_ns",
+            "backend_norec_write1_ns",       "backend_tl2_write1_ns",
+            "backend_orec_rmw8_ns",          "backend_norec_rmw8_ns",
+            "backend_tl2_rmw8_ns",           "backend_orec_rbtree_lookup_ns",
+            "backend_norec_rbtree_lookup_ns", "backend_tl2_rbtree_lookup_ns"};
   }
   if (suite == "micro_profiler_overhead") {
     // Contention-profiler cost contract (src/stm/profiler.hpp): the
@@ -844,7 +833,6 @@ std::vector<std::string> suite_members(const std::string& suite) {
     return {"trace_emit_disarmed_ns", "trace_emit_armed_ns",
             "stm_read_only_1_ns", "stm_write_1_ns", "stm_rbtree_lookup_ns",
             "backend_orec_rmw8_ns", "backend_tl2_rmw8_ns",
-            "backend_2plundo_rmw8_ns",
             "runtime_overhead_disarmed_pct", "telemetry_count_disarmed_ns",
             "telemetry_count_armed_ns", "stm_commit_telemetry_disarmed_pct",
             "profiler_record_disarmed_ns", "profiler_record_armed_ns",
@@ -894,15 +882,6 @@ std::string discover_git_sha() {
   return "unknown";
 }
 
-std::string json_escape(const std::string& in) {
-  std::string out;
-  for (char c : in) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) >= 0x20) out.push_back(c);
-  }
-  return out;
-}
-
 std::string format_results(const std::string& suite, int reps,
                            const std::string& git_sha,
                            const std::vector<BenchResult>& results) {
@@ -920,13 +899,13 @@ std::string format_results(const std::string& suite, int reps,
                 "\"build_type\": \"%s\"},\n"
                 "  \"results\": [\n",
                 static_cast<int>(kSchema.size()), kSchema.data(),
-                json_escape(suite).c_str(), reps,
-                json_escape(git_sha).c_str(),
+                escaped(suite).c_str(), reps,
+                escaped(git_sha).c_str(),
                 std::thread::hardware_concurrency(),
-                json_escape(uts.sysname).c_str(),
-                json_escape(uts.release).c_str(),
-                json_escape(uts.machine).c_str(),
-                json_escape(RUBIC_BUILD_TYPE).c_str());
+                escaped(uts.sysname).c_str(),
+                escaped(uts.release).c_str(),
+                escaped(uts.machine).c_str(),
+                escaped(RUBIC_BUILD_TYPE).c_str());
   out += buffer;
   for (std::size_t i = 0; i < results.size(); ++i) {
     const BenchResult& r = results[i];

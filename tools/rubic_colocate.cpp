@@ -44,6 +44,7 @@
 #include "src/runtime/process.hpp"
 #include "src/scenario/launcher.hpp"
 #include "src/telemetry/http_server.hpp"
+#include "src/telemetry/json.hpp"
 #include "src/telemetry/telemetry.hpp"
 #include "src/trace/trace.hpp"
 #include "src/util/cli.hpp"
@@ -52,6 +53,7 @@
 
 using namespace rubic;
 using namespace std::chrono;
+using telemetry::jsonutil::escaped;
 
 namespace {
 
@@ -178,15 +180,6 @@ double measure_baseline(const Options& opt) {
   return process.run_for(seconds(opt.baseline_seconds)).tasks_per_second;
 }
 
-std::string json_escape(const std::string& in) {
-  std::string out;
-  for (char c : in) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) >= 0x20) out.push_back(c);
-  }
-  return out;
-}
-
 // `telemetry_section` is the pre-rendered value of the report's "telemetry"
 // key (or empty to omit the key) — built by the parent from the child
 // snapshot parts after the run.
@@ -225,8 +218,8 @@ std::string format_report(const Options& opt, double baseline,
                 "  \"wall_seconds\": %.3f,\n"
                 "  \"baseline_tasks_per_second\": %.3f,\n"
                 "  \"processes\": [\n",
-                json_escape(opt.workload).c_str(),
-                json_escape(opt.policy).c_str(),
+                escaped(opt.workload).c_str(),
+                escaped(opt.policy).c_str(),
                 std::string(stm::backend_name(opt.stm_backend)).c_str(),
                 opt.procs, opt.contexts,
                 opt.pool, opt.seconds, wall_seconds, baseline);
@@ -242,7 +235,7 @@ std::string format_report(const Options& opt, double baseline,
         "\"mean_level\": %.2f, \"final_level\": %d, "
         "\"commits\": %llu, \"aborts\": %llu, \"commit_ratio\": %.4f, "
         "\"speedup\": %.4f, \"efficiency\": %.4f}%s\n",
-        static_cast<int>(child.pid), json_escape(p.label).c_str(),
+        static_cast<int>(child.pid), escaped(p.label).c_str(),
         child.completed ? "true" : "false", child.solo ? "true" : "false",
         child.hung ? "true" : "false", child.exit_code, child.signal,
         child.completed ? p.tasks_per_second : p.throughput,

@@ -39,6 +39,7 @@
 #include "src/runtime/process.hpp"
 #include "src/stm/stm.hpp"
 #include "src/tds/registry.hpp"
+#include "src/telemetry/json.hpp"
 #include "src/trace/trace.hpp"
 #include "src/util/cli.hpp"
 #include "src/util/listing.hpp"
@@ -46,6 +47,7 @@
 
 using namespace rubic;
 using namespace std::chrono;
+using telemetry::jsonutil::escaped;
 
 namespace {
 
@@ -235,15 +237,6 @@ std::string discover_git_sha() {
   return "unknown";
 }
 
-std::string json_escape(const std::string& in) {
-  std::string out;
-  for (char c : in) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) >= 0x20) out.push_back(c);
-  }
-  return out;
-}
-
 std::string format_results(int reps, const std::string& git_sha,
                            const std::vector<CellResult>& results) {
   utsname uts{};
@@ -259,11 +252,11 @@ std::string format_results(int reps, const std::string& git_sha,
                 "\"release\": \"%s\", \"arch\": \"%s\"},\n"
                 "  \"results\": [\n",
                 static_cast<int>(kSchema.size()), kSchema.data(), reps,
-                json_escape(git_sha).c_str(),
+                escaped(git_sha).c_str(),
                 std::thread::hardware_concurrency(),
-                json_escape(uts.sysname).c_str(),
-                json_escape(uts.release).c_str(),
-                json_escape(uts.machine).c_str());
+                escaped(uts.sysname).c_str(),
+                escaped(uts.release).c_str(),
+                escaped(uts.machine).c_str());
   out += buffer;
   for (std::size_t i = 0; i < results.size(); ++i) {
     const CellResult& r = results[i];

@@ -4,8 +4,10 @@
 // and fuzz seeds.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 
@@ -17,15 +19,20 @@
 namespace rubic::control {
 namespace {
 
+// The policy name is held inline, not in a std::string. gtest prints a
+// param that has no operator<< as a dump of its bytes, and gtest_discover_tests
+// puts that dump in the ctest test name; a std::string's heap pointer made
+// the name change from run to run under address-space randomization.
 struct FuzzParam {
-  std::string policy;
-  std::uint64_t seed;
+  std::array<char, 32> policy{};
+  std::uint64_t seed = 0;
 };
 
 class ControllerFuzz : public ::testing::TestWithParam<FuzzParam> {};
 
 TEST_P(ControllerFuzz, LevelsAlwaysWithinBoundsUnderArbitraryFeedback) {
-  const auto& [policy, seed] = GetParam();
+  const std::string policy = GetParam().policy.data();
+  const std::uint64_t seed = GetParam().seed;
   PolicyConfig config;
   config.contexts = 64;
   config.allocator = std::make_shared<CentralAllocator>(64);
@@ -58,7 +65,8 @@ TEST_P(ControllerFuzz, LevelsAlwaysWithinBoundsUnderArbitraryFeedback) {
 }
 
 TEST_P(ControllerFuzz, ResetMakesRunsReproducible) {
-  const auto& [policy, seed] = GetParam();
+  const std::string policy = GetParam().policy.data();
+  const std::uint64_t seed = GetParam().seed;
   PolicyConfig config;
   config.contexts = 64;
   config.allocator = std::make_shared<CentralAllocator>(64);
@@ -84,7 +92,10 @@ std::vector<FuzzParam> fuzz_matrix() {
   for (const char* policy :
        {"rubic", "ebs", "aiad", "f2c2", "aimd", "greedy", "equalshare"}) {
     for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
-      params.push_back({policy, seed});
+      FuzzParam param;
+      std::strncpy(param.policy.data(), policy, param.policy.size() - 1);
+      param.seed = seed;
+      params.push_back(param);
     }
   }
   return params;
@@ -93,7 +104,7 @@ std::vector<FuzzParam> fuzz_matrix() {
 INSTANTIATE_TEST_SUITE_P(
     Matrix, ControllerFuzz, ::testing::ValuesIn(fuzz_matrix()),
     [](const auto& param_info) {
-      return param_info.param.policy + "_seed" +
+      return std::string(param_info.param.policy.data()) + "_seed" +
              std::to_string(param_info.param.seed);
     });
 

@@ -58,10 +58,81 @@ std::string classify_outcome(const ProcessOutcome& p) {
   return "died";
 }
 
-void append_quoted(std::string& out, std::string_view text) {
-  out += '"';
-  telemetry::jsonutil::append_escaped(out, text);
-  out += '"';
+// Merged mid-run views from the children's live part files (.tlive /
+// .clive, refreshed by run_workload_child when ChildRun::live_base is set).
+// A part that is absent (child not yet started, or died before its first
+// refresh) or torn is skipped: the caller serves whatever is currently
+// readable, exactly like a scrape of a partially-up fleet. Files are read
+// but never unlinked (the run owns their lifetime).
+telemetry::Snapshot merged_live_telemetry(const std::string& base,
+                                          const std::vector<pid_t>& pids) {
+  std::vector<telemetry::Snapshot> snaps;
+  for (pid_t pid : pids) {
+    const std::string text = read_file(part_path(base, pid, ".tlive"));
+    if (text.empty()) continue;
+    telemetry::Snapshot snap;
+    if (telemetry::parse_json_snapshot(text, &snap)) {
+      snaps.push_back(std::move(snap));
+    }
+  }
+  return telemetry::merge_snapshots(snaps);
+}
+
+stm::profiler::ContentionSnapshot merged_live_contention(
+    const std::string& base, const std::vector<pid_t>& pids) {
+  std::vector<stm::profiler::ContentionSnapshot> snaps;
+  for (pid_t pid : pids) {
+    const std::string text = read_file(part_path(base, pid, ".clive"));
+    if (text.empty()) continue;
+    stm::profiler::ContentionSnapshot snap;
+    if (stm::profiler::parse_json(text, &snap)) {
+      snaps.push_back(std::move(snap));
+    }
+  }
+  return stm::profiler::merge(snaps);
+}
+
+// The co-location bus rendered as a /status JSON body: live count plus one
+// row per healthy peer (label, pid, level, throughput, commit ratio, tasks,
+// done). Safe from any thread: bus reads are seqlock-validated.
+std::string bus_status_json(std::string_view tool, ipc::CoLocationBus& bus,
+                            std::int64_t elapsed_ms) {
+  using telemetry::jsonutil::append_double;
+  using telemetry::jsonutil::append_i64;
+  using telemetry::jsonutil::append_quoted;
+  using telemetry::jsonutil::append_u64;
+  std::string out = "{\"tool\": ";
+  append_quoted(out, tool);
+  out += ", \"elapsed_ms\": ";
+  append_i64(out, elapsed_ms);
+  out += ", \"live\": ";
+  append_i64(out, bus.live_count());
+  out += ", \"peers\": [";
+  bool first = true;
+  for (const ipc::PeerInfo& info : bus.snapshot()) {
+    if (info.slot < 0 || info.torn || info.corrupt) continue;
+    if (info.state == ipc::PeerState::kDead) continue;
+    if (!first) out += ", ";
+    first = false;
+    out += "{\"label\": ";
+    append_quoted(out, info.payload.label);
+    out += ", \"pid\": ";
+    append_i64(out, info.pid);
+    out += ", \"level\": ";
+    append_i64(out, info.payload.done != 0 ? info.payload.final_level
+                                           : info.payload.level);
+    out += ", \"throughput\": ";
+    append_double(out, info.payload.throughput);
+    out += ", \"commit_ratio\": ";
+    append_double(out, info.payload.commit_ratio);
+    out += ", \"tasks_completed\": ";
+    append_u64(out, info.payload.tasks_completed);
+    out += ", \"done\": ";
+    out += info.payload.done != 0 ? "true" : "false";
+    out += "}";
+  }
+  out += "]}\n";
+  return out;
 }
 
 }  // namespace
@@ -93,10 +164,10 @@ RunResult run_scenario(const ScenarioSpec& input, const EngineOptions& opt) {
       opt.bus_name.empty()
           ? "/rubic-soak-" + std::to_string(static_cast<int>(getpid()))
           : opt.bus_name;
-  const std::string part_base =
-      opt.part_base.empty()
-          ? "rubic_soak_" + std::to_string(static_cast<int>(getpid()))
-          : opt.part_base;
+  // Run-wide child settings; the arrivals below add the per-process ones.
+  const ChildRun& base = opt.child;
+  const bool telemetry_on = base.telemetry;
+  const bool live_parts = !base.live_base.empty();
 
   ipc::BusConfig bus_config;
   bus_config.name = bus_name;
@@ -111,7 +182,6 @@ RunResult run_scenario(const ScenarioSpec& input, const EngineOptions& opt) {
   // Live introspection: children refresh their .tlive/.clive parts, the
   // parent serves the merged view. The pid list is shared between the tick
   // loop (writer) and the HTTP thread (reader), hence the mutex.
-  const bool live_parts = opt.live_parts || !opt.listen.empty();
   std::mutex live_mutex;
   std::vector<pid_t> live_pids;
   const auto live_pids_copy = [&live_mutex, &live_pids] {
@@ -155,26 +225,25 @@ RunResult run_scenario(const ScenarioSpec& input, const EngineOptions& opt) {
     server = std::make_unique<telemetry::HttpServer>(*listen_spec);
     server->route("/healthz",
                   [] { return telemetry::healthz_response(); });
-    server->route("/metrics", [part_base, live_pids_copy] {
+    const std::string& live_base = base.live_base;
+    server->route("/metrics", [live_base, live_pids_copy] {
       return telemetry::HttpResponse{
           200, "text/plain; version=0.0.4; charset=utf-8",
           telemetry::to_prometheus(
-              merged_live_telemetry(part_base, live_pids_copy()))};
+              merged_live_telemetry(live_base, live_pids_copy()))};
     });
-    server->route("/status", [bus_ptr = bus.get(), elapsed_ms] {
+    server->route("/status", [tool = opt.tool, bus_ptr = bus.get(),
+                              elapsed_ms] {
       return telemetry::HttpResponse{
           200, "application/json; charset=utf-8",
-          bus_status_json("rubic_soak", *bus_ptr, elapsed_ms())};
+          bus_status_json(tool, *bus_ptr, elapsed_ms())};
     });
-    server->route("/hotspots", [part_base, live_pids_copy] {
+    server->route("/hotspots", [live_base, live_pids_copy] {
       return telemetry::HttpResponse{
           200, "application/json; charset=utf-8",
           stm::profiler::to_json(
-              merged_live_contention(part_base, live_pids_copy()))};
+              merged_live_contention(live_base, live_pids_copy()))};
     });
-    server->start();
-    std::fprintf(stderr, "rubic_soak: introspection endpoint on %s:%u\n",
-                 server->host().c_str(), server->port());
   }
 
   std::size_t trouble_cursor = 0;
@@ -183,30 +252,24 @@ RunResult run_scenario(const ScenarioSpec& input, const EngineOptions& opt) {
     result.troubles.push_back({t, -1, false});
   }
 
-  auto next_tick = t0;
-  for (;;) {
-    const std::int64_t now_ms = elapsed_ms();
-    if (now_ms >= horizon_ms) break;
-
-    // -- arrivals ------------------------------------------------------
+  // Forks every process whose start_ms has arrived.
+  const auto fork_arrivals = [&](std::int64_t now_ms) {
     for (ProcessState& s : states) {
       if (s.started || s.start_ms > now_ms) continue;
-      ChildRun run;
+      ChildRun run = base;
       run.label = s.spec->name;
       run.workload = s.spec->workload;
       run.policy = s.spec->policy;
       run.backend = s.spec->backend;
-      run.fault_spec = spec.effective_fault_spec(s.index);
+      if (!s.spec->fault_spec.empty()) {
+        run.fault_spec = spec.effective_fault_spec(s.index);
+      }
       run.run_ms = std::max<std::int64_t>(100, s.stop_ms - s.start_ms);
       run.contexts = spec.contexts;
       run.pool = spec.pool;
       run.period_ms = spec.period_ms;
       run.child_index = static_cast<int>(s.index);
       run.procs = static_cast<int>(spec.processes.size());
-      run.telemetry = opt.telemetry;
-      if (opt.telemetry) run.telemetry_base = part_base;
-      run.profiler = opt.profiler;
-      if (live_parts) run.live_base = part_base;
       run.tamper_zero_sum = s.spec->tamper_zero_sum;
       ipc::CoLocationBus* bus_ptr = bus.get();
       const bool quiet = !opt.echo_child_stderr;
@@ -221,7 +284,7 @@ RunResult run_scenario(const ScenarioSpec& input, const EngineOptions& opt) {
         return run_workload_child(run, bus_ptr);
       });
       if (pid < 0) {
-        std::perror("rubic_soak: fork");
+        std::perror((opt.tool + ": fork").c_str());
         continue;  // retried next tick; a persistent failure ends as hung=no
       }
       s.pid = pid;
@@ -233,6 +296,24 @@ RunResult run_scenario(const ScenarioSpec& input, const EngineOptions& opt) {
         live_pids.push_back(pid);
       }
     }
+  };
+  // Processes present from the start fork before the endpoint's thread
+  // exists: fork() copies only the calling thread, so a lock another thread
+  // holds at that instant stays held in the child for good. The socket is
+  // already bound, so early connections wait in its backlog.
+  fork_arrivals(0);
+  if (server) {
+    server->start();
+    std::fprintf(stderr, "%s: introspection endpoint on %s:%u\n",
+                 opt.tool.c_str(), server->host().c_str(), server->port());
+  }
+
+  auto next_tick = t0;
+  for (;;) {
+    const std::int64_t now_ms = elapsed_ms();
+    if (now_ms >= horizon_ms) break;
+
+    fork_arrivals(now_ms);
 
     // -- scripted troubles ---------------------------------------------
     while (trouble_cursor < spec.troubles.size() &&
@@ -333,20 +414,32 @@ RunResult run_scenario(const ScenarioSpec& input, const EngineOptions& opt) {
     // -- on-demand snapshot (kill -USR1 <parent pid>) ------------------
     if (live_parts && telemetry::consume_snapshot_signal()) {
       const std::vector<pid_t> pids = live_pids_copy();
-      trace::write_file(part_base + ".signal.telemetry.json",
+      trace::write_file(base.live_base + ".signal.telemetry.json",
                         telemetry::to_json(
-                            merged_live_telemetry(part_base, pids)));
-      trace::write_file(
-          part_base + ".signal.contention.json",
-          stm::profiler::to_json(merged_live_contention(part_base, pids)));
+                            merged_live_telemetry(base.live_base, pids)));
+      trace::write_file(base.live_base + ".signal.contention.json",
+                        stm::profiler::to_json(
+                            merged_live_contention(base.live_base, pids)));
       std::fprintf(stderr,
-                   "rubic_soak: SIGUSR1 snapshot at %lld ms -> "
+                   "%s: SIGUSR1 snapshot at %lld ms -> "
                    "%s.signal.{telemetry,contention}.json\n",
-                   static_cast<long long>(now_ms), part_base.c_str());
+                   opt.tool.c_str(), static_cast<long long>(now_ms),
+                   base.live_base.c_str());
     }
 
+    // Sleep to the next tick, or earlier to the next scripted event.
     next_tick += milliseconds(spec.tick_ms);
-    std::this_thread::sleep_until(next_tick);
+    auto wake = next_tick;
+    if (trouble_cursor < spec.troubles.size()) {
+      wake = std::min(
+          wake, t0 + milliseconds(spec.troubles[trouble_cursor].at_ms));
+    }
+    for (const ProcessState& s : states) {
+      if (!s.started && s.start_ms > now_ms) {
+        wake = std::min(wake, t0 + milliseconds(s.start_ms));
+      }
+    }
+    std::this_thread::sleep_until(wake);
   }
 
   // -- drain: thaw stragglers, reap under the watchdog -------------------
@@ -379,7 +472,7 @@ RunResult run_scenario(const ScenarioSpec& input, const EngineOptions& opt) {
   result.wall_seconds =
       duration<double>(steady_clock::now() - t0).count();
 
-  // -- final bus samples + telemetry parts -------------------------------
+  // -- final bus samples, telemetry parts, trace fragments ---------------
   std::vector<TelemetryPart> parts;
   result.processes.resize(states.size());
   for (std::size_t i = 0; i < states.size(); ++i) {
@@ -398,31 +491,46 @@ RunResult run_scenario(const ScenarioSpec& input, const EngineOptions& opt) {
       const ipc::PeerInfo info =
           bus->find_pid(static_cast<std::int32_t>(s.pid));
       if (info.slot >= 0 && !info.torn && !info.corrupt) {
+        out.payload = info.payload;
         out.completed_on_bus = info.payload.done != 0;
         out.tasks_per_second = out.completed_on_bus
                                    ? info.payload.tasks_per_second
                                    : info.payload.throughput;
         out.tasks_completed = info.payload.tasks_completed;
       }
-      if (opt.telemetry) {
-        parts.push_back({s.pid, part_path(part_base, s.pid, ".tpart")});
+      if (telemetry_on) {
+        parts.push_back(
+            {s.pid, part_path(base.telemetry_base, s.pid, ".tpart")});
       }
     }
     out.outcome = classify_outcome(out);
   }
-  result.telemetry_enabled = opt.telemetry;
-  if (opt.telemetry) {
-    const CollectedTelemetry collected = collect_telemetry_parts(parts);
-    result.parts_expected = collected.expected;
-    result.parts_merged = collected.merged;
-    result.parts_missing = collected.missing;
-    result.parts_discarded = collected.discarded;
+  result.telemetry_enabled = telemetry_on;
+  if (telemetry_on) {
+    result.telemetry = collect_telemetry_parts(parts);
     std::vector<telemetry::Snapshot> snapshots;
-    snapshots.reserve(collected.snapshots.size());
-    for (const auto& [pid, snap] : collected.snapshots) {
+    snapshots.reserve(result.telemetry.snapshots.size());
+    for (const auto& [pid, snap] : result.telemetry.snapshots) {
       snapshots.push_back(snap);
     }
     result.merged_telemetry = telemetry::merge_snapshots(snapshots);
+  }
+  if (!base.trace_base.empty()) {
+    // One Perfetto-loadable document, one process track per child. A
+    // killed child never wrote its part (or left a truncated tail); the
+    // merge skips missing files and partial lines.
+    std::vector<std::string> fragments;
+    for (const ProcessState& s : states) {
+      if (!s.started) continue;
+      const std::string part = part_path(base.trace_base, s.pid, ".part");
+      fragments.push_back(read_file(part));
+      ::unlink(part.c_str());
+    }
+    if (!trace::write_file(base.trace_base,
+                           trace::merge_chrome_fragments(fragments))) {
+      std::fprintf(stderr, "%s: failed to write %s\n", opt.tool.c_str(),
+                   base.trace_base.c_str());
+    }
   }
 
   // The endpoint reads the bus and the live parts: stop it before either
@@ -430,8 +538,8 @@ RunResult run_scenario(const ScenarioSpec& input, const EngineOptions& opt) {
   if (server) server->stop();
   if (live_parts) {
     for (pid_t pid : live_pids_copy()) {
-      ::unlink(part_path(part_base, pid, ".tlive").c_str());
-      ::unlink(part_path(part_base, pid, ".clive").c_str());
+      ::unlink(part_path(base.live_base, pid, ".tlive").c_str());
+      ::unlink(part_path(base.live_base, pid, ".clive").c_str());
     }
   }
 
@@ -468,7 +576,7 @@ RunResult run_scenario(const ScenarioSpec& input, const EngineOptions& opt) {
         verdict.passed = eval_jain_min(inv, exits, &detail);
         break;
       case InvariantKind::kSloFloor:
-        if (!opt.telemetry) {
+        if (!telemetry_on) {
           verdict.passed = false;
           detail = "slo_floor needs telemetry, which this run disabled";
         } else {
@@ -478,7 +586,7 @@ RunResult run_scenario(const ScenarioSpec& input, const EngineOptions& opt) {
         break;
       case InvariantKind::kCounterMax:
       case InvariantKind::kCounterMin:
-        if (!opt.telemetry) {
+        if (!telemetry_on) {
           verdict.passed = false;
           detail = "counter bounds need telemetry, which this run disabled";
         } else {
@@ -524,6 +632,7 @@ RunResult run_scenario(const ScenarioSpec& input, const EngineOptions& opt) {
 std::string report_json(const RunResult& result) {
   using telemetry::jsonutil::append_double;
   using telemetry::jsonutil::append_i64;
+  using telemetry::jsonutil::append_quoted;
   using telemetry::jsonutil::append_u64;
 
   std::string out = "{\n  \"schema\": ";
@@ -650,13 +759,13 @@ std::string report_json(const RunResult& result) {
   out += ",\n  \"telemetry\": {\"enabled\": ";
   out += result.telemetry_enabled ? "true" : "false";
   out += ", \"parts\": {\"expected\": ";
-  append_i64(out, result.parts_expected);
+  append_i64(out, result.telemetry.expected);
   out += ", \"merged\": ";
-  append_i64(out, result.parts_merged);
+  append_i64(out, result.telemetry.merged);
   out += ", \"missing\": ";
-  append_i64(out, result.parts_missing);
+  append_i64(out, result.telemetry.missing);
   out += ", \"discarded\": ";
-  append_i64(out, result.parts_discarded);
+  append_i64(out, result.telemetry.discarded);
   out += "}";
   if (result.telemetry_enabled) {
     out += ", \"schema\": ";

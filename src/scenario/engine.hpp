@@ -4,10 +4,10 @@
 // processes on a private co-location bus:
 //
 //   tick loop (spec.tick_ms)
-//     ├── fork processes whose start_ms has arrived (launcher.hpp — the
-//     │   same child body rubic_colocate uses);
+//     ├── fork processes whose start_ms has arrived (launcher.hpp's
+//     │   child body);
 //     ├── deliver scripted troubles whose at_ms has arrived (SIGKILL /
-//     │   SIGSTOP / SIGCONT by process name);
+//     │   SIGSTOP / SIGCONT to the first process of the target name);
 //     ├── reap exits non-blockingly, timestamping each departure;
 //     ├── append a bus snapshot to the timeline (per-peer level,
 //     │   throughput, commit ratio — the "nearest telemetry snapshot"
@@ -16,11 +16,18 @@
 //         unfrozen, slot-holding process must advance its bus heartbeat
 //         within grace_ms.
 //
+// The loop sleeps to the next tick or the next scripted arrival or
+// trouble, whichever comes first, so an event lands at its offset rather
+// than on a tick boundary.
+//
 // After the horizon: thaw anything still frozen, reap the stragglers under
 // the hung-child watchdog, collect + merge the per-child telemetry parts
 // (with explicit missing/discarded accounting for children that died
-// mid-write), evaluate the exit-time invariants, and render one
-// rubic-soak-report/v1 JSON document.
+// mid-write) and trace fragments, evaluate the exit-time invariants, and
+// render one rubic-soak-report/v1 JSON document.
+//
+// Both co-location tools run here: rubic_soak from a scenario file,
+// rubic_colocate from flags (N identical processes, an optional kill).
 //
 // Determinism: the spec plus its seed fix every derived schedule (child
 // fault plans via effective_fault_spec). Wall-clock jitter moves timestamps
@@ -41,22 +48,33 @@ namespace rubic::scenario {
 inline constexpr std::string_view kSoakReportSchema = "rubic-soak-report/v1";
 
 struct EngineOptions {
-  std::string bus_name;        // "" = /rubic-soak-<parent pid>
-  std::string part_base;       // telemetry part base; "" = derived from bus
-  bool telemetry = true;       // arm children, merge their snapshot parts
+  std::string tool = "rubic_soak";  // the caller: /status "tool", stderr
+  std::string bus_name;  // "" = /rubic-soak-<parent pid>
   bool echo_child_stderr = true;  // false: children write to /dev/null
   // Live introspection (docs/observability.md). `listen` is a
   // parse_listen_spec value ("PORT" or "HOST:PORT"); non-empty starts an
   // HTTP endpoint on the parent serving /metrics (merged live child
   // telemetry), /status (bus view), /hotspots (merged live contention) and
-  // /healthz for the duration of the run. `profiler` arms the contention
-  // profiler in every child. `live_parts` makes children refresh their
-  // .tlive/.clive part files mid-run (forced on by a non-empty listen);
-  // with it enabled the tick loop also answers SIGUSR1 (snapshot_signal.hpp)
-  // by dumping merged <part_base>.signal.*.json documents.
+  // /healthz for the duration of the run. The merged routes read the
+  // child.live_base parts, so set that base too.
   std::string listen;
-  bool profiler = false;
-  bool live_parts = false;
+  // The ChildRun every child starts from. The engine overwrites the
+  // per-process fields from the spec (label through procs, and
+  // tamper_zero_sum; fault_spec only when the spec names one); the
+  // template carries the run-wide settings:
+  //   telemetry, telemetry_base — children dump .tpart snapshots that the
+  //     engine collects and merges;
+  //   profiler — the contention profiler in every child;
+  //   live_base — children refresh .tlive/.clive parts mid-run for the
+  //     endpoint's routes, and the tick loop answers SIGUSR1
+  //     (snapshot_signal.hpp) by dumping merged <live_base>.signal.*.json
+  //     documents;
+  //   trace_base — children write .part trace fragments, merged into the
+  //     Chrome trace file <trace_base> after the run;
+  //   audit_base — children write <audit_base>.<pid>.jsonl decision logs,
+  //     left on disk for rubic_replay;
+  //   fault_spec — armed as given in every process whose spec names none.
+  ChildRun child;
 };
 
 // One process's fate, as the report tells it.
@@ -71,6 +89,9 @@ struct ProcessOutcome {
   bool completed_on_bus = false;  // final sample published before exit
   double tasks_per_second = 0.0;
   std::uint64_t tasks_completed = 0;
+  // The child's last clean bus record (its final sample when
+  // completed_on_bus, else its last heartbeat); zeros when it had none.
+  ipc::SlotPayload payload{};
   std::int64_t started_at_ms = -1;
   std::int64_t ended_at_ms = -1;  // -1 while running at horizon
   // "completed" | "verify-failed" | "chaos-killed" | "hung" | "died" |
@@ -110,13 +131,11 @@ struct RunResult {
   std::vector<TroubleOutcome> troubles;
   std::vector<InvariantVerdict> verdicts;
   std::vector<TimelinePoint> timeline;
-  // Exit-time telemetry merge + the part accounting (launcher.hpp).
+  // Exit-time telemetry: each child's parsed snapshot with the part
+  // accounting (launcher.hpp), and their merge.
   bool telemetry_enabled = false;
+  CollectedTelemetry telemetry;
   telemetry::Snapshot merged_telemetry;
-  int parts_expected = 0;
-  int parts_merged = 0;
-  int parts_missing = 0;
-  int parts_discarded = 0;
 };
 
 // Runs the scenario to completion. Throws std::invalid_argument on

@@ -11,13 +11,13 @@
 #include <memory>
 #include <thread>
 
+#include "src/control/backend_adapter.hpp"
 #include "src/control/factory.hpp"
 #include "src/fault/fault.hpp"
 #include "src/ipc/equal_share.hpp"
 #include "src/runtime/process.hpp"
 #include "src/stm/profiler.hpp"
 #include "src/telemetry/audit.hpp"
-#include "src/telemetry/json.hpp"
 #include "src/trace/trace.hpp"
 #include "src/traffic/traffic.hpp"
 #include "src/workloads/registry.hpp"
@@ -25,8 +25,6 @@
 namespace rubic::scenario {
 
 using namespace std::chrono;
-
-namespace {
 
 std::string read_file(const std::string& path) {
   std::string out;
@@ -40,6 +38,8 @@ std::string read_file(const std::string& path) {
   std::fclose(f);
   return out;
 }
+
+namespace {
 
 // Write-to-tmp-then-rename: a concurrent reader (the parent's endpoint, or
 // a curious operator) sees either the previous complete file or the new one,
@@ -193,6 +193,13 @@ int run_workload_child(const ChildRun& run, ipc::CoLocationBus* bus) {
     meta.processes = run.procs;
     meta.seed = config.pool.seed;
     meta.stm_backend = std::string(stm::backend_name(run.backend));
+    // An adaptive policy's recorded backend indexes point into its
+    // candidate list: record the list itself, so replay does not depend on
+    // whatever the default list is when the log is read.
+    if (const auto* adapter =
+            dynamic_cast<const control::BackendAdapter*>(controller.get())) {
+      meta.backend_candidates = adapter->candidates();
+    }
     audit_log.set_meta(meta);
     config.monitor.audit = &audit_log;
   }
@@ -370,79 +377,6 @@ std::vector<ReapedChild> reap_with_watchdog(
     if (!pending.empty()) std::this_thread::sleep_for(milliseconds(20));
   }
   return reaped;
-}
-
-telemetry::Snapshot merged_live_telemetry(const std::string& base,
-                                          const std::vector<pid_t>& pids) {
-  std::vector<telemetry::Snapshot> snaps;
-  for (pid_t pid : pids) {
-    const std::string text = read_file(part_path(base, pid, ".tlive"));
-    if (text.empty()) continue;
-    telemetry::Snapshot snap;
-    if (telemetry::parse_json_snapshot(text, &snap)) {
-      snaps.push_back(std::move(snap));
-    }
-  }
-  return telemetry::merge_snapshots(snaps);
-}
-
-stm::profiler::ContentionSnapshot merged_live_contention(
-    const std::string& base, const std::vector<pid_t>& pids) {
-  std::vector<stm::profiler::ContentionSnapshot> snaps;
-  for (pid_t pid : pids) {
-    const std::string text = read_file(part_path(base, pid, ".clive"));
-    if (text.empty()) continue;
-    stm::profiler::ContentionSnapshot snap;
-    if (stm::profiler::parse_json(text, &snap)) {
-      snaps.push_back(std::move(snap));
-    }
-  }
-  return stm::profiler::merge(snaps);
-}
-
-std::string bus_status_json(std::string_view tool, ipc::CoLocationBus& bus,
-                            std::int64_t elapsed_ms) {
-  using telemetry::jsonutil::append_double;
-  using telemetry::jsonutil::append_escaped;
-  using telemetry::jsonutil::append_i64;
-  using telemetry::jsonutil::append_u64;
-  const auto quoted = [](std::string& out, std::string_view text) {
-    out += '"';
-    append_escaped(out, text);
-    out += '"';
-  };
-  std::string out = "{\"tool\": ";
-  quoted(out, tool);
-  out += ", \"elapsed_ms\": ";
-  append_i64(out, elapsed_ms);
-  out += ", \"live\": ";
-  append_i64(out, bus.live_count());
-  out += ", \"peers\": [";
-  bool first = true;
-  for (const ipc::PeerInfo& info : bus.snapshot()) {
-    if (info.slot < 0 || info.torn || info.corrupt) continue;
-    if (info.state == ipc::PeerState::kDead) continue;
-    if (!first) out += ", ";
-    first = false;
-    out += "{\"label\": ";
-    quoted(out, info.payload.label);
-    out += ", \"pid\": ";
-    append_i64(out, info.pid);
-    out += ", \"level\": ";
-    append_i64(out, info.payload.done != 0 ? info.payload.final_level
-                                           : info.payload.level);
-    out += ", \"throughput\": ";
-    append_double(out, info.payload.throughput);
-    out += ", \"commit_ratio\": ";
-    append_double(out, info.payload.commit_ratio);
-    out += ", \"tasks_completed\": ";
-    append_u64(out, info.payload.tasks_completed);
-    out += ", \"done\": ";
-    out += info.payload.done != 0 ? "true" : "false";
-    out += "}";
-  }
-  out += "]}\n";
-  return out;
 }
 
 CollectedTelemetry collect_telemetry_parts(

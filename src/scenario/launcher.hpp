@@ -1,10 +1,9 @@
-// Shared child-process launcher for co-located soak runs.
+// Child-process launcher for co-located runs.
 //
-// rubic_colocate and the scenario engine both fork real OS processes that
-// run one workload under one policy on a private STM runtime and meet only
-// on the shared-memory co-location bus. This header is that common core,
-// refactored out of rubic_colocate so the soak orchestrator drives the
-// exact production launch path instead of a parallel reimplementation:
+// The scenario engine (engine.hpp), which both rubic_colocate and
+// rubic_soak run through, forks real OS processes that run one workload
+// under one policy on a private STM runtime and meet only on the
+// shared-memory co-location bus. This header is the per-child machinery:
 //
 //   * run_workload_child — everything a child does between fork and _exit:
 //     arm the fault plan / tracer / telemetry, claim a bus slot (capped
@@ -35,7 +34,6 @@
 
 #include "src/ipc/colocation_bus.hpp"
 #include "src/stm/backend/backend.hpp"
-#include "src/stm/profiler.hpp"
 #include "src/stm/stm.hpp"
 #include "src/telemetry/telemetry.hpp"
 #include "src/workloads/workload.hpp"
@@ -46,7 +44,7 @@ namespace rubic::scenario {
 // the child appends ".<pid><suffix>" itself (parent and child derive the
 // same name from the recorded pid), so the struct is fork-safe by value.
 struct ChildRun {
-  std::string label;     // bus slot label (workload/policy, or process name)
+  std::string label;     // bus slot label (the scenario process name)
   std::string workload;  // registry name or "traffic:<spec>"
   std::string policy = "rubic";
   stm::BackendKind backend = stm::default_backend();
@@ -76,6 +74,9 @@ struct ChildRun {
 // "<base>.<pid><suffix>" — the shared naming for every per-child artifact.
 std::string part_path(const std::string& base, pid_t pid,
                       std::string_view suffix);
+
+// A whole part file; "" when it is absent or unreadable.
+std::string read_file(const std::string& path);
 
 // Builds a child workload: names from the registry, or a traffic-driven KV
 // service via the "traffic:<spec>" form (grammar in src/traffic/).
@@ -138,24 +139,5 @@ struct CollectedTelemetry {
 // silently skipped: expected == merged + missing + discarded always holds.
 CollectedTelemetry collect_telemetry_parts(
     const std::vector<TelemetryPart>& parts);
-
-// --- live introspection (parent side) -----------------------------------
-//
-// Merged mid-run views from the children's live part files (.tlive /
-// .clive, refreshed by run_workload_child when ChildRun::live_base is set).
-// A part that is absent (child not yet started, or died before its first
-// refresh) or torn is skipped — the caller serves whatever is currently
-// readable, exactly like a scrape of a partially-up fleet. Files are read
-// but never unlinked (the run owns their lifetime).
-telemetry::Snapshot merged_live_telemetry(const std::string& base,
-                                          const std::vector<pid_t>& pids);
-stm::profiler::ContentionSnapshot merged_live_contention(
-    const std::string& base, const std::vector<pid_t>& pids);
-
-// The co-location bus rendered as a /status JSON body: live count plus one
-// row per healthy peer (label, pid, level, throughput, commit ratio, tasks,
-// done). Safe from any thread — bus reads are seqlock-validated.
-std::string bus_status_json(std::string_view tool, ipc::CoLocationBus& bus,
-                            std::int64_t elapsed_ms);
 
 }  // namespace rubic::scenario

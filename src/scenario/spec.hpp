@@ -81,7 +81,7 @@ struct ScenarioSpec {
   std::uint64_t seed = 1;
   std::int64_t seconds = 10;  // scenario horizon
   int contexts = 0;           // 0 = hardware_concurrency
-  int pool = 0;               // 0 = contexts
+  int pool = 0;               // 0 = 2 × contexts
   int period_ms = 10;         // monitor period inside every child
   std::int64_t tick_ms = 250;       // engine tick: snapshots + troubles
   std::int64_t hung_after_ms = 10000;  // launcher watchdog slack past stop

@@ -14,6 +14,7 @@ namespace rubic::telemetry {
 using jsonutil::append_double;
 using jsonutil::append_escaped;
 using jsonutil::append_i64;
+using jsonutil::append_quoted;
 using jsonutil::append_u64;
 using jsonutil::Cursor;
 
@@ -71,6 +72,14 @@ void append_header(std::string& out, const AuditMeta& meta) {
     out += ",\"stm_backend\":\"";
     append_escaped(out, meta.stm_backend);
     out += '"';
+  }
+  if (!meta.backend_candidates.empty()) {
+    out += ",\"backend_candidates\":[";
+    for (std::size_t i = 0; i < meta.backend_candidates.size(); ++i) {
+      if (i != 0) out += ',';
+      append_quoted(out, meta.backend_candidates[i]);
+    }
+    out += ']';
   }
   out += "}\n";
 }
@@ -154,6 +163,17 @@ bool parse_header(Cursor& cur, AuditMeta* meta) {
       if (!cur.parse_u64(&meta->seed)) return false;
     } else if (key == "stm_backend") {
       if (!cur.parse_string(&meta->stm_backend)) return false;
+    } else if (key == "backend_candidates") {
+      if (!cur.consume('[')) return false;
+      while (!cur.peek(']')) {
+        if (!meta->backend_candidates.empty() && !cur.consume(',')) {
+          return false;
+        }
+        std::string name;
+        if (!cur.parse_string(&name)) return false;
+        meta->backend_candidates.push_back(std::move(name));
+      }
+      if (!cur.consume(']')) return false;
     } else {
       return cur.fail("unknown header key '" + key + "'");
     }
@@ -301,6 +321,7 @@ ReplayResult replay_audit(const AuditMeta& meta,
   // Adaptive policies start their backend search from the backend the run
   // booted on; replay must seed the same starting index.
   config.initial_backend = meta.stm_backend;
+  config.backend_candidates = meta.backend_candidates;
   if (meta.policy == "equalshare") {
     // The factory-built EqualShare consults a CentralAllocator; the share
     // is a pure function of (contexts, processes), both recorded.

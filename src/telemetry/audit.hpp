@@ -51,6 +51,11 @@ struct AuditMeta {
   // STM concurrency-control backend the run used (stm::backend_name);
   // empty in logs written before the field existed.
   std::string stm_backend;
+  // Backend candidate universe of an adaptive policy, in index order (the
+  // recorded desired-backend indexes point into it). Empty for plain
+  // policies and in logs written before the field existed; replay then
+  // falls back to control::default_backend_candidates().
+  std::vector<std::string> backend_candidates;
 
   bool operator==(const AuditMeta&) const = default;
 };

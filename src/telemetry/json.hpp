@@ -75,6 +75,13 @@ inline void append_escaped(std::string& out, std::string_view text) {
   }
 }
 
+// A JSON string literal: the escaped text between double quotes.
+inline void append_quoted(std::string& out, std::string_view text) {
+  out += '"';
+  append_escaped(out, text);
+  out += '"';
+}
+
 // append_escaped into a fresh string, for printf-style writers.
 inline std::string escaped(std::string_view text) {
   std::string out;

@@ -7,6 +7,7 @@
 namespace rubic::traffic {
 namespace {
 
+using telemetry::jsonutil::append_quoted;
 using telemetry::jsonutil::escaped;
 
 void append_phase(std::string& out, const PhaseSummary& phase,
@@ -55,17 +56,26 @@ std::string format_traffic_report(const TrafficConfig& config,
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const RunResult& run = runs[i];
     const TrafficSummary& s = run.summary;
+    // The strings are unbounded (a verifier message can run to any
+    // length): they are appended, only the numeric tail goes through the
+    // fixed buffer.
+    out += "    {\"policy\": ";
+    append_quoted(out, run.policy);
+    out += ", \"backend\": ";
+    append_quoted(out, run.backend);
+    out += ", \"completed\": ";
+    out += run.completed ? "true" : "false";
+    out += ", \"verified\": ";
+    out += run.verified ? "true" : "false";
+    out += ", \"verify_error\": ";
+    append_quoted(out, run.verify_error);
+    out += ",\n";
     std::snprintf(
         buffer, sizeof buffer,
-        "    {\"policy\": \"%s\", \"backend\": \"%s\", "
-        "\"completed\": %s, \"verified\": %s, \"verify_error\": \"%s\",\n"
         "     \"makespan_s\": %.3f, \"scheduled\": %llu, "
         "\"dispatched\": %llu, \"executed\": %llu, \"mean_level\": %.2f, "
         "\"final_level\": %d, \"commits\": %llu, \"aborts\": %llu,\n",
-        escaped(run.policy).c_str(), escaped(run.backend).c_str(),
-        run.completed ? "true" : "false", run.verified ? "true" : "false",
-        escaped(run.verify_error).c_str(), run.makespan_s,
-        static_cast<unsigned long long>(s.scheduled),
+        run.makespan_s, static_cast<unsigned long long>(s.scheduled),
         static_cast<unsigned long long>(s.dispatched),
         static_cast<unsigned long long>(s.executed), run.mean_level,
         run.final_level, static_cast<unsigned long long>(run.commits),

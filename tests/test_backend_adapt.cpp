@@ -305,8 +305,10 @@ struct AdaptiveRun {
   stm::BackendKind final_backend = stm::BackendKind::kOrecSwiss;
 };
 
-AdaptiveRun run_adaptive_monitor(const char* policy, std::uint64_t max_rounds,
-                                 stm::BackendKind initial) {
+// `candidates` empty = the factory default, left out of the audit meta.
+AdaptiveRun run_adaptive_monitor(
+    const char* policy, std::uint64_t max_rounds, stm::BackendKind initial,
+    const std::vector<std::string>& candidates = {}) {
   AdaptiveRun out;
   stm::RuntimeConfig stm_config;
   stm_config.backend = initial;
@@ -317,6 +319,7 @@ AdaptiveRun run_adaptive_monitor(const char* policy, std::uint64_t max_rounds,
   policy_config.contexts = 4;
   policy_config.pool_size = 4;
   policy_config.initial_backend = std::string(stm::backend_name(initial));
+  policy_config.backend_candidates = candidates;
   auto controller = control::make_controller(policy, policy_config);
 
   telemetry::AuditLog audit;
@@ -327,6 +330,7 @@ AdaptiveRun run_adaptive_monitor(const char* policy, std::uint64_t max_rounds,
   out.meta.pool = 4;
   out.meta.seed = 42;
   out.meta.stm_backend = std::string(stm::backend_name(initial));
+  out.meta.backend_candidates = candidates;
   audit.set_meta(out.meta);
 
   runtime::MalleablePool pool(rt, workload,
@@ -401,6 +405,36 @@ TEST(AdaptiveMonitor, AuditLogWithOnlineSwitchReplaysByteIdentically) {
   EXPECT_TRUE(result.ok) << telemetry::explain_replay(parsed_meta, result);
   EXPECT_EQ(result.mismatches, 0u);
   EXPECT_EQ(result.rounds, run.records.size());
+}
+
+TEST(AdaptiveMonitor, RecordedCandidateListReplaysAgainstADifferentDefault) {
+  // A run whose candidate universe is not today's default list (different
+  // length and order): the header carries the list, so replay re-derives
+  // every desired backend from it rather than from the default.
+  const std::vector<std::string> candidates = {"tl2", "norec"};
+  ASSERT_NE(candidates, control::default_backend_candidates());
+  const AdaptiveRun run = run_adaptive_monitor(
+      "adaptive", 40, stm::BackendKind::kTl2, candidates);
+  ASSERT_GE(run.switches, 1u);
+
+  const std::string text = telemetry::to_jsonl(run.meta, run.records);
+  telemetry::AuditMeta parsed_meta;
+  std::vector<telemetry::AuditRecord> parsed;
+  std::string error;
+  ASSERT_TRUE(telemetry::parse_audit(text, &parsed_meta, &parsed, &error))
+      << error;
+  EXPECT_EQ(parsed_meta.backend_candidates, candidates);
+  EXPECT_EQ(telemetry::to_jsonl(parsed_meta, parsed), text);
+  const telemetry::ReplayResult result =
+      telemetry::replay_audit(parsed_meta, parsed);
+  EXPECT_TRUE(result.ok) << telemetry::explain_replay(parsed_meta, result);
+  EXPECT_EQ(result.mismatches, 0u);
+
+  // Without the recorded list, replay falls back to the default and the
+  // recorded backend choices no longer line up.
+  telemetry::AuditMeta stripped = parsed_meta;
+  stripped.backend_candidates.clear();
+  EXPECT_GT(telemetry::replay_audit(stripped, parsed).mismatches, 0u);
 }
 
 TEST(AdaptiveMonitor, TelemetryLabelsFollowTheActiveBackend) {

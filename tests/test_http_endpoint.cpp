@@ -1,67 +1,21 @@
 // Live introspection endpoint (src/telemetry/http_server.*): --listen spec
 // parsing, the protocol subset (GET/HEAD, 404, 405, malformed requests),
 // route dispatch, the standard /metrics and /healthz bodies, and stop()
-// idempotence. The client side is a raw blocking socket speaking exactly
-// what curl would, so these tests pin the wire format, not a client
-// library's tolerance.
-#include <arpa/inet.h>
+// idempotence, through the raw-socket client in http_client.hpp.
 #include <gtest/gtest.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <cstring>
 #include <string>
 
 #include "src/telemetry/http_server.hpp"
 #include "src/telemetry/telemetry.hpp"
+#include "tests/http_client.hpp"
 
 namespace rubic::telemetry {
 namespace {
 
-// One round trip: connect to 127.0.0.1:port, send `request` verbatim, read
-// to EOF (the server closes after one response).
-std::string http_exchange(std::uint16_t port, const std::string& request) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return {};
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
-      0) {
-    ::close(fd);
-    return {};
-  }
-  // The harness must never wedge on a server that accepted but won't
-  // answer (e.g. a stopped server whose listen backlog still connects).
-  timeval timeout{5, 0};
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof timeout);
-  std::size_t sent = 0;
-  while (sent < request.size()) {
-    const ssize_t n =
-        ::send(fd, request.data() + sent, request.size() - sent, 0);
-    if (n <= 0) break;
-    sent += static_cast<std::size_t>(n);
-  }
-  std::string response;
-  char buffer[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buffer, sizeof buffer, 0);
-    if (n <= 0) break;
-    response.append(buffer, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  return response;
-}
-
-std::string get(std::uint16_t port, const std::string& path,
-                const std::string& method = "GET") {
-  return http_exchange(port, method + " " + path +
-                                 " HTTP/1.1\r\nHost: t\r\n"
-                                 "Connection: close\r\n\r\n");
-}
+using test::http_exchange;
+using test::http_get;
 
 TEST(ListenSpec, ParsesPortAndHostPortForms) {
   const auto bare = parse_listen_spec("9100");
@@ -110,7 +64,7 @@ class HttpEndpointTest : public ::testing::Test {
 };
 
 TEST_F(HttpEndpointTest, ServesRegisteredRoute) {
-  const std::string response = get(server_.port(), "/ping");
+  const std::string response = http_get(server_.port(), "/ping");
   EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos) << response;
   EXPECT_NE(response.find("Connection: close"), std::string::npos);
   EXPECT_NE(response.find("Content-Length: 5"), std::string::npos);
@@ -119,28 +73,28 @@ TEST_F(HttpEndpointTest, ServesRegisteredRoute) {
 }
 
 TEST_F(HttpEndpointTest, HealthzAnswersOk) {
-  const std::string response = get(server_.port(), "/healthz");
+  const std::string response = http_get(server_.port(), "/healthz");
   EXPECT_NE(response.find("200 OK"), std::string::npos);
   EXPECT_NE(response.find("ok\n"), std::string::npos);
 }
 
 TEST_F(HttpEndpointTest, QueryStringIsIgnoredForMatching) {
-  const std::string response = get(server_.port(), "/ping?x=1&y=2");
+  const std::string response = http_get(server_.port(), "/ping?x=1&y=2");
   EXPECT_NE(response.find("200 OK"), std::string::npos) << response;
 }
 
 TEST_F(HttpEndpointTest, UnknownPathIs404) {
-  const std::string response = get(server_.port(), "/nope");
+  const std::string response = http_get(server_.port(), "/nope");
   EXPECT_NE(response.find("404"), std::string::npos) << response;
 }
 
 TEST_F(HttpEndpointTest, PostIs405) {
-  const std::string response = get(server_.port(), "/ping", "POST");
+  const std::string response = http_get(server_.port(), "/ping", "POST");
   EXPECT_NE(response.find("405"), std::string::npos) << response;
 }
 
 TEST_F(HttpEndpointTest, HeadReturnsHeadersWithoutBody) {
-  const std::string response = get(server_.port(), "/ping", "HEAD");
+  const std::string response = http_get(server_.port(), "/ping", "HEAD");
   EXPECT_NE(response.find("200 OK"), std::string::npos) << response;
   EXPECT_NE(response.find("Content-Length: 5"), std::string::npos);
   EXPECT_EQ(response.find("pong"), std::string::npos)
@@ -158,7 +112,7 @@ TEST_F(HttpEndpointTest, MetricsResponseIsPrometheusText) {
   registry.counter("http_test_events_total").add(3);
   registry.histogram("http_test_latency_us").observe(7);
   server_.route("/metrics", [&registry] { return metrics_response(registry); });
-  const std::string response = get(server_.port(), "/metrics");
+  const std::string response = http_get(server_.port(), "/metrics");
   EXPECT_NE(response.find("200 OK"), std::string::npos);
   EXPECT_NE(
       response.find("Content-Type: text/plain; version=0.0.4"),
@@ -176,7 +130,7 @@ TEST_F(HttpEndpointTest, RouteReplacementTakesEffect) {
     r.body = "pong2\n";
     return r;
   });
-  const std::string response = get(server_.port(), "/ping");
+  const std::string response = http_get(server_.port(), "/ping");
   EXPECT_NE(response.find("pong2\n"), std::string::npos) << response;
 }
 
@@ -192,12 +146,12 @@ TEST(HttpServerLifecycle, StopIsIdempotentAndSafeWithoutStart) {
     server.route("/x", [] { return healthz_response(); });
     server.start();
     port = server.port();
-    EXPECT_NE(get(port, "/x").find("200 OK"), std::string::npos);
+    EXPECT_NE(http_get(port, "/x").find("200 OK"), std::string::npos);
     server.stop();
     server.stop();  // second stop is a no-op
   }
   // Destroyed: the listener is closed, so connections are refused.
-  EXPECT_TRUE(get(port, "/x").empty());
+  EXPECT_TRUE(http_get(port, "/x").empty());
 }
 
 TEST(HttpServerLifecycle, TwoServersCoexistOnDistinctPorts) {
@@ -216,8 +170,8 @@ TEST(HttpServerLifecycle, TwoServersCoexistOnDistinctPorts) {
   a.start();
   b.start();
   EXPECT_NE(a.port(), b.port());
-  EXPECT_NE(get(a.port(), "/who").find("\r\n\r\na"), std::string::npos);
-  EXPECT_NE(get(b.port(), "/who").find("\r\n\r\nb"), std::string::npos);
+  EXPECT_NE(http_get(a.port(), "/who").find("\r\n\r\na"), std::string::npos);
+  EXPECT_NE(http_get(b.port(), "/who").find("\r\n\r\nb"), std::string::npos);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Scenario soak layer (src/scenario/): spec grammar accept/reject,
 // fault-schedule determinism from the top-level seed, every invariant
 // class firing on synthetic inputs, the hung-child watchdog, telemetry
-// part accounting, and two end-to-end engine runs — a kill plus
-// freeze/thaw timeline that must pass, and a zero-sum tamper that must
-// fail with the verified invariant named.
+// part accounting, and three end-to-end engine runs — a kill plus
+// freeze/thaw timeline that must pass, rubic_colocate's shape (identical
+// processes, one kill, live endpoint, trace and audit parts), and a
+// zero-sum tamper that must fail with the verified invariant named.
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <sys/wait.h>
@@ -11,14 +12,21 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <set>
+#include <stop_token>
 #include <string>
+#include <thread>
 
 #include "src/fault/fault.hpp"
 #include "src/scenario/engine.hpp"
 #include "src/scenario/invariant.hpp"
 #include "src/scenario/launcher.hpp"
 #include "src/scenario/spec.hpp"
+#include "src/telemetry/audit.hpp"
+#include "src/telemetry/http_server.hpp"
 #include "src/trace/trace.hpp"
+#include "tests/http_client.hpp"
 
 namespace {
 
@@ -396,7 +404,8 @@ TEST(ScenarioLauncher, TelemetryPartAccountingCoversEveryFate) {
 scenario::EngineOptions quiet_options(const char* tag) {
   scenario::EngineOptions opt;
   opt.bus_name = "/" + unique_tag(tag);
-  opt.part_base = unique_tag(tag);
+  opt.child.telemetry = true;
+  opt.child.telemetry_base = unique_tag(tag);
   opt.echo_child_stderr = false;
   return opt;
 }
@@ -437,15 +446,125 @@ TEST(ScenarioEngine, KillAndFreezeThawTimelinePasses) {
   EXPECT_FALSE(result.timeline.empty());
   // The chaos-killed child never dumped its telemetry part: the report
   // must say so instead of silently skipping it.
-  EXPECT_EQ(result.parts_expected, 3);
-  EXPECT_EQ(result.parts_missing, 1);
-  EXPECT_EQ(result.parts_merged, 2);
+  EXPECT_EQ(result.telemetry.expected, 3);
+  EXPECT_EQ(result.telemetry.missing, 1);
+  EXPECT_EQ(result.telemetry.merged, 2);
 
   const std::string report = scenario::report_json(result);
   EXPECT_NE(report.find("\"schema\": \"rubic-soak-report/v1\""),
             std::string::npos);
   EXPECT_NE(report.find("\"passed\": true"), std::string::npos);
   EXPECT_NE(report.find("chaos-killed"), std::string::npos);
+}
+
+// Every distinct "pid": value in a merged Chrome trace document.
+std::set<long long> trace_pids(const std::string& trace) {
+  std::set<long long> pids;
+  const std::string key = "\"pid\":";
+  for (std::size_t at = trace.find(key); at != std::string::npos;
+       at = trace.find(key, at + key.size())) {
+    pids.insert(std::atoll(trace.c_str() + at + key.size()));
+  }
+  return pids;
+}
+
+TEST(ScenarioEngine, ColocateShapedRunDeliversEveryArtifact) {
+  // rubic_colocate's shape: identical processes sharing one name and bus
+  // label, one kill trouble on the first of them, a live endpoint, and
+  // trace and audit bases in the child template.
+  scenario::ScenarioSpec spec;
+  spec.name = "colocate-shape";
+  spec.seconds = 3;
+  spec.contexts = 2;
+  spec.pool = 4;
+  spec.tick_ms = 100;
+  spec.hung_after_ms = 20000;
+  scenario::ProcessSpec proc;
+  proc.name = "rbset/rubic";
+  proc.workload = "rbset";
+  spec.processes.assign(2, proc);
+  spec.troubles.push_back({800, scenario::TroubleKind::kKill, proc.name});
+
+  scenario::EngineOptions opt = quiet_options("shape");
+  opt.tool = "shape_tool";
+  opt.child.trace_base = unique_tag("shape-trace") + ".json";
+  opt.child.audit_base = unique_tag("shape-audit");
+  // An ephemeral port: the kernel picks a free one, the probe releases it.
+  std::uint16_t port = 0;
+  {
+    telemetry::HttpServer probe(
+        *telemetry::parse_listen_spec("127.0.0.1:0"));
+    port = probe.port();
+  }
+  ASSERT_NE(port, 0);
+  opt.listen = "127.0.0.1:" + std::to_string(port);
+  opt.child.live_base = opt.child.telemetry_base;
+
+  // The poller must be asleep, not starting up, while the engine forks: a
+  // child inherits any runtime lock another parent thread holds at fork
+  // time (thread start-up takes some under the sanitizers) as held.
+  std::atomic<bool> running{false};
+  std::string status;
+  std::jthread poller([&](std::stop_token stop) {
+    running = true;
+    std::this_thread::sleep_for(milliseconds(500));
+    while (!stop.stop_requested()) {
+      const std::string response = test::http_get(port, "/status");
+      if (response.find("200 OK") != std::string::npos) {
+        status = response;
+        return;
+      }
+      std::this_thread::sleep_for(milliseconds(50));
+    }
+  });
+  while (!running.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(milliseconds(20));
+  const scenario::RunResult result = scenario::run_scenario(spec, opt);
+  poller.request_stop();
+  poller.join();
+
+  EXPECT_NE(status.find("\"tool\": \"shape_tool\""), std::string::npos)
+      << status;
+  ASSERT_EQ(result.processes.size(), 2u);
+  const scenario::ProcessOutcome& victim = result.processes[0];
+  const scenario::ProcessOutcome& survivor = result.processes[1];
+  EXPECT_EQ(victim.outcome, "chaos-killed");
+  EXPECT_EQ(survivor.outcome, "completed");
+
+  // Each outcome carries its last bus record: the survivor's final sample,
+  // the victim's last heartbeat before the kill.
+  EXPECT_NE(survivor.payload.done, 0u);
+  EXPECT_STREQ(survivor.payload.label, "rbset/rubic");
+  EXPECT_EQ(survivor.payload.tasks_per_second, survivor.tasks_per_second);
+  EXPECT_GT(survivor.payload.tasks_completed, 0u);
+  EXPECT_EQ(victim.payload.done, 0u);
+  EXPECT_STREQ(victim.payload.label, "rbset/rubic");
+  EXPECT_GT(victim.payload.heartbeat, 0u);
+
+  // Per-child telemetry survives next to the merge: only the survivor's.
+  ASSERT_EQ(result.telemetry.snapshots.size(), 1u);
+  EXPECT_EQ(result.telemetry.snapshots[0].first, survivor.pid);
+
+  // The merged trace holds the survivor's track only.
+  const std::string trace = scenario::read_file(opt.child.trace_base);
+  ::unlink(opt.child.trace_base.c_str());
+  EXPECT_EQ(trace_pids(trace), std::set<long long>{survivor.pid}) << trace;
+
+  // The survivor wrote an audit part; the victim died before its dump.
+  const std::string audit_path =
+      scenario::part_path(opt.child.audit_base, survivor.pid, ".jsonl");
+  const std::string audit = scenario::read_file(audit_path);
+  ::unlink(audit_path.c_str());
+  telemetry::AuditMeta meta;
+  std::vector<telemetry::AuditRecord> records;
+  std::string error;
+  EXPECT_TRUE(telemetry::parse_audit(audit, &meta, &records, &error))
+      << error;
+  EXPECT_FALSE(records.empty());
+  EXPECT_TRUE(scenario::read_file(scenario::part_path(
+                                      opt.child.audit_base, victim.pid,
+                                      ".jsonl"))
+                  .empty());
 }
 
 TEST(ScenarioEngine, TamperedZeroSumFailsTheVerifiedInvariant) {

@@ -118,18 +118,21 @@ TEST_P(SerializabilityTest, CommitOrderReplayMatchesEveryObservation) {
         atomically(ctx, [&](Txn& tx) {
           record.reads.clear();
           record.writes.clear();
-          std::int64_t sum = 0;
+          // Chained sums outgrow int64 over a long run: accumulate with
+          // unsigned (defined, wrapping) arithmetic.
+          std::uint64_t sum = 0;
           for (int r = 0; r < read_count; ++r) {
             const std::int64_t value =
                 vars[static_cast<std::size_t>(read_vars[r])].read(tx);
             record.reads.emplace_back(read_vars[r], value);
-            sum += value;
+            sum += static_cast<std::uint64_t>(value);
           }
           if (yield_mid_txn) std::this_thread::yield();
           if (!read_only) {
             // Value derived from the reads: a stale read produces a wrong
             // write that the replay will catch twice over.
-            const std::int64_t value = sum + delta;
+            const auto value = static_cast<std::int64_t>(
+                sum + static_cast<std::uint64_t>(delta));
             vars[static_cast<std::size_t>(write_var)].write(tx, value);
             record.writes.emplace_back(write_var, value);
           }

@@ -487,8 +487,10 @@ TEST(Listing, RegistriesRoundTripThroughTheSharedPrinter) {
     EXPECT_EQ(*parsed, kind);
   }
   // Mixes: every printed name must resolve in the mix registry.
+  // Named: mix_views points into these strings until the last check.
+  const std::vector<std::string> mixes = traffic::known_mixes();
   std::vector<std::string_view> mix_views;
-  for (const auto& name : traffic::known_mixes()) {
+  for (const auto& name : mixes) {
     EXPECT_NO_THROW(traffic::mix_by_name(name));
     mix_views.emplace_back(name);
   }
@@ -505,21 +507,32 @@ TEST(Listing, RegistriesRoundTripThroughTheSharedPrinter) {
 }
 
 TEST(TrafficReport, VerifyErrorWithControlCharactersRoundTrips) {
-  // A multi-line verifier message is escaped, never dropped: the report
-  // stays valid JSON and the error parses back byte for byte.
-  traffic::RunResult run;
-  run.policy = "fixed:2";
-  run.backend = "norec";
-  run.verify_error = "balance mismatch\nat key 7";
-  const std::string report =
-      traffic::format_traffic_report(traffic::TrafficConfig{}, {run});
-  const std::string key = "\"verify_error\": ";
-  const auto at = report.find(key);
-  ASSERT_NE(at, std::string::npos) << report;
-  telemetry::jsonutil::Cursor cursor{report, at + key.size()};
-  std::string parsed;
-  ASSERT_TRUE(cursor.parse_string(&parsed)) << cursor.error;
-  EXPECT_EQ(parsed, run.verify_error);
+  // A multi-line verifier message is escaped, never dropped, and a long
+  // one is never truncated: the report stays valid JSON and the error
+  // parses back byte for byte.
+  std::string long_error = "balance mismatch at";
+  for (int key = 0; long_error.size() < 320; ++key) {
+    long_error += " key " + std::to_string(key) + "\t(+100)";
+  }
+  for (const std::string& error :
+       {std::string("balance mismatch\nat key 7"), long_error}) {
+    traffic::RunResult run;
+    run.policy = "fixed:2";
+    run.backend = "norec";
+    run.verify_error = error;
+    const std::string report =
+        traffic::format_traffic_report(traffic::TrafficConfig{}, {run});
+    const std::string key = "\"verify_error\": ";
+    const auto at = report.find(key);
+    ASSERT_NE(at, std::string::npos) << report;
+    telemetry::jsonutil::Cursor cursor{report, at + key.size()};
+    std::string parsed;
+    ASSERT_TRUE(cursor.parse_string(&parsed)) << cursor.error;
+    EXPECT_EQ(parsed, run.verify_error);
+    // The rest of the run line follows the string intact.
+    EXPECT_NE(report.find("\"makespan_s\"", cursor.pos), std::string::npos)
+        << report;
+  }
 }
 
 }  // namespace

@@ -797,8 +797,8 @@ std::vector<std::string> suite_members(const std::string& suite) {
   }
   if (suite == "micro_backend_compare") {
     // The full engine grid on identical single-threaded op sequences —
-    // one (backend, op) cell per entry; scripts/check_backend_grid.py
-    // asserts every cell is present and sane in the nightly artifacts.
+    // one (backend, op) cell per entry (ci-fast gates
+    // backend_orec_rmw8_ns).
     return {"backend_orec_read1_ns",         "backend_norec_read1_ns",
             "backend_tl2_read1_ns",          "backend_orec_write1_ns",
             "backend_norec_write1_ns",       "backend_tl2_write1_ns",
@@ -942,10 +942,6 @@ int main(int argc, char** argv) {
         static_cast<int>(cli.get_int("scenario-seconds", 1));
     const std::string out_path =
         cli.get_string("out", "BENCH_results.json");
-    // Substring filter applied after suite selection; the nightly backend
-    // grid slices micro_backend_compare into one run per engine with
-    // --filter backend_<name>_ so each artifact carries one engine's cells.
-    const std::string filter = cli.get_string("filter", "");
     const std::string trace_out = cli.get_string("trace-out", "");
     std::string git_sha = cli.get_string("git-sha", "");
     cli.check_unknown();
@@ -983,18 +979,6 @@ int main(int argc, char** argv) {
                    "rubic_bench: unknown suite '%s' (try --list)\n",
                    suite.c_str());
       return 2;
-    }
-    if (!filter.empty()) {
-      std::erase_if(selected, [&](const BenchDef* def) {
-        return def->name.find(filter) == std::string::npos;
-      });
-      if (selected.empty()) {
-        std::fprintf(stderr,
-                     "rubic_bench: --filter '%s' matches nothing in suite "
-                     "'%s'\n",
-                     filter.c_str(), suite.c_str());
-        return 2;
-      }
     }
 
     // --trace-out: record the scenario benches' timelines (micro benches

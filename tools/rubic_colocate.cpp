@@ -11,27 +11,28 @@
 // efficiency product, Jain fairness) against a sequential baseline measured
 // before the fork.
 //
+// The parent loop is the scenario engine's (src/scenario/engine.hpp): this
+// tool turns its flags into a ScenarioSpec of --procs identical processes
+// and makes one run_scenario call, the same path rubic_soak takes.
+//
 // Robustness: a child that dies mid-run (crash, OOM-kill, kill -9) simply
 // stops heartbeating — the survivors' monitors never block on it, bus-based
 // EqualShare re-divides the contexts once the heartbeat goes stale, and the
 // final JSON marks the dead slot instead of hanging the run.
-// `--chaos-kill-ms T` makes the launcher itself SIGKILL its first child
-// after T ms, exercising exactly that path (used by the ctest suite).
+// `--chaos-kill-ms T` scripts one kill trouble: the engine SIGKILLs the
+// first child T ms into the run, exercising exactly that path (used by the
+// ctest suite).
 //
 // Run:  rubic_colocate --procs 2 --workload intruder --policy rubic
 //       rubic_colocate --procs 3 --workload rbset --policy equalshare
 //                      --contexts 8 --seconds 5 --json out.json
 //       rubic_colocate --list-workloads   /   --list-controllers
-#include <signal.h>
-#include <sys/types.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,7 +43,7 @@
 #include "src/ipc/colocation_bus.hpp"
 #include "src/metrics/metrics.hpp"
 #include "src/runtime/process.hpp"
-#include "src/scenario/launcher.hpp"
+#include "src/scenario/engine.hpp"
 #include "src/telemetry/http_server.hpp"
 #include "src/telemetry/json.hpp"
 #include "src/telemetry/telemetry.hpp"
@@ -53,6 +54,7 @@
 
 using namespace rubic;
 using namespace std::chrono;
+using telemetry::jsonutil::append_quoted;
 using telemetry::jsonutil::escaped;
 
 namespace {
@@ -114,57 +116,56 @@ std::string telemetry_base(const Options& opt) {
   return "rubic_colocate_telemetry";
 }
 
-std::string read_file(const std::string& path) {
-  std::string out;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return out;
-  char buffer[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buffer, 1, sizeof buffer, f)) > 0) {
-    out.append(buffer, n);
+// Flags → scenario: --procs identical processes sharing one name (and bus
+// label), and --chaos-kill-ms as one kill trouble on the first of them.
+scenario::ScenarioSpec make_spec(const Options& opt) {
+  scenario::ScenarioSpec spec;
+  spec.name = "rubic_colocate";
+  spec.seconds = opt.seconds;
+  spec.contexts = opt.contexts;
+  spec.pool = opt.pool;
+  spec.period_ms = opt.period_ms;
+  spec.hung_after_ms = opt.hung_after_ms;
+  scenario::ProcessSpec proc;
+  proc.name = opt.workload + "/" + opt.policy;
+  proc.workload = opt.workload;
+  proc.policy = opt.policy;
+  proc.backend = opt.stm_backend;
+  spec.processes.assign(static_cast<std::size_t>(opt.procs), proc);
+  if (opt.chaos_kill_ms > 0) {
+    spec.troubles.push_back(
+        {opt.chaos_kill_ms, scenario::TroubleKind::kKill, proc.name});
   }
-  std::fclose(f);
-  return out;
+  return spec;
 }
 
-struct ChildResult {
-  pid_t pid = 0;
-  bool completed = false;  // exited 0 AND published a final report
-  bool solo = false;       // exited 0 without a bus slot (degraded mode)
-  bool hung = false;       // watchdog SIGKILL: neither exited nor heartbeat
-  int exit_code = -1;
-  int signal = 0;
-  bool found_on_bus = false;
-  ipc::SlotPayload payload{};
-  double speedup = 0.0;
-  double efficiency = 0.0;
-};
+// Run-wide engine settings; the child body itself (slot claim with backoff,
+// solo fallback, policy construction, final-sample publish, part dumps,
+// exit-time verify) lives in src/scenario/launcher.cpp.
+scenario::EngineOptions make_engine_options(const Options& opt) {
+  scenario::EngineOptions engine;
+  engine.tool = "rubic_colocate";
+  engine.bus_name = opt.bus_name;
+  engine.listen = opt.listen;
+  // Armed as given: a spec without seed= keeps the plan's default seed.
+  engine.child.fault_spec = opt.fault_spec;
+  engine.child.telemetry = opt.telemetry_enabled();
+  engine.child.telemetry_base = telemetry_base(opt);
+  if (!opt.listen.empty()) engine.child.live_base = telemetry_base(opt);
+  engine.child.profiler = opt.profile;
+  engine.child.trace_base = opt.trace_out;
+  engine.child.audit_base = opt.audit_out;
+  return engine;
+}
 
-// The shared launcher's child configuration for one rubic_colocate child.
-// The child body itself (slot claim with backoff, solo fallback, policy
-// construction, final-sample publish, trace/audit/telemetry part dumps,
-// exit-time verify) lives in src/scenario/launcher.cpp, shared with the
-// rubic_soak orchestrator.
-scenario::ChildRun make_child_run(const Options& opt, int child_index) {
-  scenario::ChildRun run;
-  run.label = opt.workload + "/" + opt.policy;
-  run.workload = opt.workload;
-  run.policy = opt.policy;
-  run.backend = opt.stm_backend;
-  run.fault_spec = opt.fault_spec;
-  run.run_ms = static_cast<std::int64_t>(opt.seconds) * 1000;
-  run.contexts = opt.contexts;
-  run.pool = opt.pool;
-  run.period_ms = opt.period_ms;
-  run.child_index = child_index;
-  run.procs = opt.procs;
-  run.telemetry = opt.telemetry_enabled();
-  if (run.telemetry) run.telemetry_base = telemetry_base(opt);
-  run.trace_base = opt.trace_out;
-  run.audit_base = opt.audit_out;
-  run.profiler = opt.profile;
-  if (!opt.listen.empty()) run.live_base = telemetry_base(opt);
-  return run;
+// A child completed when it exited 0 after publishing its final sample. A
+// clean exit without one means the child ran in the degraded solo mode (no
+// slot): the run succeeded, its metrics are simply not observable here.
+bool completed(const scenario::ProcessOutcome& p) {
+  return p.exit_code == 0 && p.completed_on_bus;
+}
+bool solo(const scenario::ProcessOutcome& p) {
+  return p.exit_code == 0 && !p.completed_on_bus;
 }
 
 double measure_baseline(const Options& opt) {
@@ -180,37 +181,57 @@ double measure_baseline(const Options& opt) {
   return process.run_for(seconds(opt.baseline_seconds)).tasks_per_second;
 }
 
-// `telemetry_section` is the pre-rendered value of the report's "telemetry"
-// key (or empty to omit the key) — built by the parent from the child
-// snapshot parts after the run.
-std::string format_report(const Options& opt, double baseline,
-                          const std::vector<ChildResult>& children,
-                          double wall_seconds,
-                          const std::string& telemetry_section) {
-  std::vector<double> speedups;
-  std::vector<double> efficiencies;
-  int dead = 0;
-  int solo = 0;
-  for (const auto& child : children) {
-    if (child.completed) {
-      speedups.push_back(child.speedup);
-      efficiencies.push_back(child.efficiency);
-    } else if (child.solo) {
-      // Finished cleanly in the degraded bus-less mode: a survivor whose
-      // metrics are simply not observable from the launcher.
-      ++solo;
-    } else {
-      ++dead;
-    }
+// The report's "telemetry" value: per-process sections plus the
+// cross-process merge. Every expected part is accounted for — parsed,
+// missing (a chaos-killed or hung child never wrote one), or discarded (a
+// torn mid-write fragment) — instead of being silently skipped.
+std::string telemetry_section(const scenario::RunResult& result) {
+  const scenario::CollectedTelemetry& parts = result.telemetry;
+  std::string per_process;
+  for (const auto& [pid, snap] : parts.snapshots) {
+    if (!per_process.empty()) per_process += ",";
+    per_process += "\n      {\"pid\": ";
+    per_process += std::to_string(static_cast<int>(pid));
+    per_process += ", \"metrics\": ";
+    per_process += telemetry::to_json_metrics(snap, "      ");
+    per_process += "}";
   }
+  std::string out = "{\n    \"schema\": \"";
+  out += telemetry::kJsonSchema;
+  out += "\",\n    \"parts\": {\"expected\": ";
+  out += std::to_string(parts.expected);
+  out += ", \"merged\": ";
+  out += std::to_string(parts.merged);
+  out += ", \"missing\": ";
+  out += std::to_string(parts.missing);
+  out += ", \"discarded\": ";
+  out += std::to_string(parts.discarded);
+  out += "},\n    \"processes\": [";
+  out += per_process;
+  if (!per_process.empty()) out += "\n    ";
+  out += "],\n    \"merged\": ";
+  out += telemetry::to_json_metrics(result.merged_telemetry, "    ");
+  out += "\n  }";
+  return out;
+}
 
+// `telemetry_section` is the pre-rendered value of the report's "telemetry"
+// key (or empty to omit the key).
+std::string format_report(const Options& opt, double baseline,
+                          const scenario::RunResult& result,
+                          const std::string& telemetry_section) {
+  const std::vector<scenario::ProcessOutcome>& children = result.processes;
+  // The workload and policy strings are unbounded ("traffic:" specs):
+  // appended, not formatted into the fixed buffer.
   char buffer[512];
-  std::string out = "{\n";
+  std::string out = "{\n  \"tool\": \"rubic_colocate\",\n  \"workload\": ";
+  append_quoted(out, opt.workload);
+  out += ",\n  \"policy\": ";
+  append_quoted(out, opt.policy);
+  out += ",\n  \"stm_backend\": ";
+  append_quoted(out, stm::backend_name(opt.stm_backend));
+  out += ",\n";
   std::snprintf(buffer, sizeof buffer,
-                "  \"tool\": \"rubic_colocate\",\n"
-                "  \"workload\": \"%s\",\n"
-                "  \"policy\": \"%s\",\n"
-                "  \"stm_backend\": \"%s\",\n"
                 "  \"procs\": %d,\n"
                 "  \"contexts\": %d,\n"
                 "  \"pool\": %d,\n"
@@ -218,15 +239,33 @@ std::string format_report(const Options& opt, double baseline,
                 "  \"wall_seconds\": %.3f,\n"
                 "  \"baseline_tasks_per_second\": %.3f,\n"
                 "  \"processes\": [\n",
-                escaped(opt.workload).c_str(),
-                escaped(opt.policy).c_str(),
-                std::string(stm::backend_name(opt.stm_backend)).c_str(),
-                opt.procs, opt.contexts,
-                opt.pool, opt.seconds, wall_seconds, baseline);
+                opt.procs, opt.contexts, opt.pool, opt.seconds,
+                result.wall_seconds, baseline);
   out += buffer;
+  std::vector<double> speedups;
+  std::vector<double> efficiencies;
+  int dead = 0;
+  int solos = 0;
   for (std::size_t i = 0; i < children.size(); ++i) {
     const auto& child = children[i];
     const auto& p = child.payload;
+    // Scored on the final report, or on the last heartbeat of a child that
+    // never finished; only finished children enter the system metrics.
+    const bool done = completed(child);
+    const double speedup = metrics::speedup(
+        done ? p.tasks_per_second : p.throughput, baseline);
+    const double efficiency =
+        metrics::efficiency(speedup, done ? p.mean_level : p.level);
+    if (done) {
+      speedups.push_back(speedup);
+      efficiencies.push_back(efficiency);
+    } else if (solo(child)) {
+      // Finished cleanly in the degraded bus-less mode: a survivor whose
+      // metrics are simply not observable from the launcher.
+      ++solos;
+    } else {
+      ++dead;
+    }
     std::snprintf(
         buffer, sizeof buffer,
         "    {\"pid\": %d, \"label\": \"%s\", \"completed\": %s, "
@@ -236,20 +275,18 @@ std::string format_report(const Options& opt, double baseline,
         "\"commits\": %llu, \"aborts\": %llu, \"commit_ratio\": %.4f, "
         "\"speedup\": %.4f, \"efficiency\": %.4f}%s\n",
         static_cast<int>(child.pid), escaped(p.label).c_str(),
-        child.completed ? "true" : "false", child.solo ? "true" : "false",
+        done ? "true" : "false", solo(child) ? "true" : "false",
         child.hung ? "true" : "false", child.exit_code, child.signal,
-        child.completed ? p.tasks_per_second : p.throughput,
+        done ? p.tasks_per_second : p.throughput,
         static_cast<unsigned long long>(p.tasks_completed),
-        child.completed ? p.mean_level : 0.0,
-        child.completed ? p.final_level : p.level,
+        done ? p.mean_level : 0.0, done ? p.final_level : p.level,
         static_cast<unsigned long long>(p.commits),
         static_cast<unsigned long long>(p.aborts),
         p.commits + p.aborts
             ? static_cast<double>(p.commits) /
                   static_cast<double>(p.commits + p.aborts)
             : 1.0,
-        child.speedup, child.efficiency,
-        i + 1 < children.size() ? "," : "");
+        speedup, efficiency, i + 1 < children.size() ? "," : "");
     out += buffer;
   }
   out += "  ],\n";
@@ -266,7 +303,7 @@ std::string format_report(const Options& opt, double baseline,
       metrics::nsbp_product(speedups),
       metrics::efficiency_product(efficiencies),
       metrics::jain_fairness(speedups),
-      static_cast<int>(children.size()) - dead, solo, dead);
+      static_cast<int>(children.size()) - dead, solos, dead);
   out += buffer;
   return out;
 }
@@ -350,6 +387,13 @@ int main(int argc, char** argv) {
                    opt.listen.c_str());
       return 2;
     }
+    if (!control::policy_known(opt.policy)) {
+      std::fprintf(stderr,
+                   "rubic_colocate: unknown --policy '%s' "
+                   "(try --list-controllers)\n",
+                   opt.policy.c_str());
+      return 2;
+    }
 
     if (opt.procs < 1 || opt.seconds < 1) {
       std::fprintf(stderr,
@@ -385,205 +429,30 @@ int main(int argc, char** argv) {
     double baseline = 0.0;
     if (opt.baseline_seconds > 0) baseline = measure_baseline(opt);
 
-    ipc::BusConfig bus_config;
-    bus_config.name = opt.bus_name;
-    bus_config.contexts = opt.contexts;
-    bus_config.max_slots = opt.procs + 4;
-    bus_config.stale_after = milliseconds(25 * opt.period_ms);
-    auto bus = ipc::CoLocationBus::create_or_attach(bus_config);
-
-    std::vector<pid_t> pids;
-    for (int i = 0; i < opt.procs; ++i) {
-      const scenario::ChildRun run = make_child_run(opt, i);
-      ipc::CoLocationBus* bus_ptr = bus.get();
-      const pid_t pid = scenario::spawn_child(
-          [&run, bus_ptr]() { return scenario::run_workload_child(run, bus_ptr); });
-      if (pid < 0) {
-        std::perror("fork");
-        ipc::CoLocationBus::unlink(opt.bus_name);
-        return 1;
-      }
-      pids.push_back(pid);
+    const scenario::RunResult result =
+        scenario::run_scenario(make_spec(opt), make_engine_options(opt));
+    const std::vector<scenario::ProcessOutcome>& children = result.processes;
+    for (const scenario::TroubleOutcome& trouble : result.troubles) {
+      if (!trouble.delivered) continue;
+      std::fprintf(stderr, "chaos: SIGKILLed child %d after %lld ms\n",
+                   static_cast<int>(children.front().pid),
+                   static_cast<long long>(trouble.applied_at_ms));
     }
 
-    const auto wall_start = steady_clock::now();
-
-    // Live introspection: all children are forked, so `pids` is final and
-    // the handlers can capture it by reference. The server stops before the
-    // bus and the live part files go away.
-    std::unique_ptr<telemetry::HttpServer> server;
-    if (!opt.listen.empty()) {
-      const std::string live_base = telemetry_base(opt);
-      server = std::make_unique<telemetry::HttpServer>(
-          *telemetry::parse_listen_spec(opt.listen));
-      server->route("/healthz",
-                    [] { return telemetry::healthz_response(); });
-      server->route("/metrics", [live_base, &pids] {
-        return telemetry::HttpResponse{
-            200, "text/plain; version=0.0.4; charset=utf-8",
-            telemetry::to_prometheus(
-                scenario::merged_live_telemetry(live_base, pids))};
-      });
-      server->route("/status", [bus_ptr = bus.get(), wall_start] {
-        return telemetry::HttpResponse{
-            200, "application/json; charset=utf-8",
-            scenario::bus_status_json(
-                "rubic_colocate", *bus_ptr,
-                duration_cast<milliseconds>(steady_clock::now() - wall_start)
-                    .count())};
-      });
-      server->route("/hotspots", [live_base, &pids] {
-        return telemetry::HttpResponse{
-            200, "application/json; charset=utf-8",
-            stm::profiler::to_json(
-                scenario::merged_live_contention(live_base, pids))};
-      });
-      server->start();
-      std::fprintf(stderr, "rubic_colocate: introspection endpoint on %s:%u\n",
-                   server->host().c_str(), server->port());
-    }
-
-    if (opt.chaos_kill_ms > 0 && !pids.empty()) {
-      std::this_thread::sleep_for(milliseconds(opt.chaos_kill_ms));
-      kill(pids.front(), SIGKILL);
-      std::fprintf(stderr, "chaos: SIGKILLed child %d after %d ms\n",
-                   static_cast<int>(pids.front()), opt.chaos_kill_ms);
-    }
-
-    // Reap under the hung-child watchdog: each child gets its run duration
-    // plus --hung-after-ms of slack, after which a silent heartbeat means
-    // SIGKILL and a distinct "hung" verdict in the report.
-    std::vector<scenario::WatchedChild> watched;
-    for (const pid_t pid : pids) {
-      watched.push_back(
-          {pid, wall_start + milliseconds(static_cast<std::int64_t>(
-                                 opt.seconds) * 1000 + opt.hung_after_ms)});
-    }
-    const std::vector<scenario::ReapedChild> reaped =
-        scenario::reap_with_watchdog(watched, bus.get(),
-                                     milliseconds(25 * opt.period_ms));
-    std::vector<ChildResult> children(pids.size());
-    for (std::size_t i = 0; i < pids.size(); ++i) {
-      children[i].pid = pids[i];
-      children[i].exit_code = reaped[i].exit_code;
-      children[i].signal = reaped[i].signal;
-      children[i].hung = reaped[i].hung;
-    }
-    const double wall_seconds =
-        duration<double>(steady_clock::now() - wall_start).count();
-
-    // Collect every child's final report (or last heartbeat) from the bus.
-    for (auto& child : children) {
-      const ipc::PeerInfo info =
-          bus->find_pid(static_cast<std::int32_t>(child.pid));
-      child.found_on_bus = info.slot >= 0 && !info.torn;
-      if (child.found_on_bus) child.payload = info.payload;
-      child.completed = child.exit_code == 0 && child.found_on_bus &&
-                        child.payload.done != 0;
-      // A clean exit without a bus record means the child ran in the
-      // degraded solo mode (no slot): the run succeeded, the metrics are
-      // simply not observable from here.
-      child.solo = child.exit_code == 0 && !child.completed;
-      const double rate = child.completed ? child.payload.tasks_per_second
-                                          : child.payload.throughput;
-      child.speedup = metrics::speedup(rate, baseline);
-      child.efficiency = metrics::efficiency(
-          child.speedup,
-          child.completed ? child.payload.mean_level : child.payload.level);
-    }
-
-    if (!opt.trace_out.empty()) {
-      // Merge the per-child fragments into one Perfetto-loadable document.
-      // A chaos-killed child never wrote its part (or wrote a truncated
-      // tail); the merge skips missing files and partial lines.
-      std::vector<std::string> fragments;
-      for (const pid_t pid : pids) {
-        const std::string part = scenario::part_path(opt.trace_out, pid,
-                                                     ".part");
-        fragments.push_back(read_file(part));
-        ::unlink(part.c_str());
-      }
-      if (!trace::write_file(opt.trace_out,
-                             trace::merge_chrome_fragments(fragments))) {
-        std::fprintf(stderr, "failed to write %s\n", opt.trace_out.c_str());
+    std::string section;
+    if (result.telemetry_enabled) {
+      section = telemetry_section(result);
+      if (!opt.prom_out.empty() &&
+          !trace::write_file(opt.prom_out,
+                             telemetry::to_prometheus(result.merged_telemetry))) {
+        std::fprintf(stderr, "failed to write %s\n", opt.prom_out.c_str());
       }
     }
-
-    // Collect the per-child telemetry snapshots, merge them, and render the
-    // report's "telemetry" key: per-process sections plus the cross-process
-    // aggregate. Every expected part is accounted for — parsed, missing (a
-    // chaos-killed or hung child never wrote one), or discarded (a torn
-    // mid-write fragment) — instead of being silently skipped.
-    std::string telemetry_section;
-    if (opt.telemetry_enabled()) {
-      std::vector<scenario::TelemetryPart> parts;
-      for (const pid_t pid : pids) {
-        parts.push_back(
-            {pid, scenario::part_path(telemetry_base(opt), pid, ".tpart")});
-      }
-      const scenario::CollectedTelemetry collected =
-          scenario::collect_telemetry_parts(parts);
-      std::vector<telemetry::Snapshot> snapshots;
-      std::string per_process;
-      for (const auto& [pid, snap] : collected.snapshots) {
-        if (!per_process.empty()) per_process += ",";
-        per_process += "\n      {\"pid\": ";
-        per_process += std::to_string(static_cast<int>(pid));
-        per_process += ", \"metrics\": ";
-        per_process += telemetry::to_json_metrics(snap, "      ");
-        per_process += "}";
-        snapshots.push_back(snap);
-      }
-      const telemetry::Snapshot merged = telemetry::merge_snapshots(snapshots);
-      telemetry_section = "{\n    \"schema\": \"";
-      telemetry_section += telemetry::kJsonSchema;
-      telemetry_section += "\",\n    \"parts\": {\"expected\": ";
-      telemetry_section += std::to_string(collected.expected);
-      telemetry_section += ", \"merged\": ";
-      telemetry_section += std::to_string(collected.merged);
-      telemetry_section += ", \"missing\": ";
-      telemetry_section += std::to_string(collected.missing);
-      telemetry_section += ", \"discarded\": ";
-      telemetry_section += std::to_string(collected.discarded);
-      telemetry_section += "},\n    \"processes\": [";
-      telemetry_section += per_process;
-      if (!per_process.empty()) telemetry_section += "\n    ";
-      telemetry_section += "],\n    \"merged\": ";
-      telemetry_section += telemetry::to_json_metrics(merged, "    ");
-      telemetry_section += "\n  }";
-      if (!opt.prom_out.empty()) {
-        if (!trace::write_file(opt.prom_out,
-                               telemetry::to_prometheus(merged))) {
-          std::fprintf(stderr, "failed to write %s\n", opt.prom_out.c_str());
-        }
-      }
-    }
-
-    const std::string report =
-        format_report(opt, baseline, children, wall_seconds,
-                      telemetry_section);
+    const std::string report = format_report(opt, baseline, result, section);
     std::fputs(report.c_str(), stdout);
-    if (!opt.json_path.empty()) {
-      if (std::FILE* f = std::fopen(opt.json_path.c_str(), "w")) {
-        std::fputs(report.c_str(), f);
-        std::fclose(f);
-      } else {
-        std::fprintf(stderr, "failed to write %s\n", opt.json_path.c_str());
-      }
+    if (!opt.json_path.empty() && !trace::write_file(opt.json_path, report)) {
+      std::fprintf(stderr, "failed to write %s\n", opt.json_path.c_str());
     }
-
-    if (server) {
-      server->stop();
-      for (const pid_t pid : pids) {
-        ::unlink(scenario::part_path(telemetry_base(opt), pid, ".tlive")
-                     .c_str());
-        ::unlink(scenario::part_path(telemetry_base(opt), pid, ".clive")
-                     .c_str());
-      }
-    }
-
-    bus.reset();
-    ipc::CoLocationBus::unlink(opt.bus_name);
 
     // The launcher succeeds if every child that we did NOT kill ourselves
     // finished cleanly (a bus-less solo run still counts); a chaos-killed
@@ -591,9 +460,9 @@ int main(int argc, char** argv) {
     // a silent dead slot in the JSON is not a diagnosis.
     int failures = 0;
     for (std::size_t i = 0; i < children.size(); ++i) {
-      const ChildResult& child = children[i];
+      const scenario::ProcessOutcome& child = children[i];
       const bool chaos_victim = opt.chaos_kill_ms > 0 && i == 0;
-      if (child.completed || child.solo || chaos_victim) continue;
+      if (completed(child) || solo(child) || chaos_victim) continue;
       ++failures;
       if (child.hung) {
         std::fprintf(stderr,

@@ -21,6 +21,8 @@
 //       rubic_soak --scenario s.scn --json report.json --quiet-children
 //       rubic_soak --scenario s.scn --listen 9464 --profile
 //       rubic_soak --list-fault-sites
+#include <unistd.h>
+
 #include <cstdio>
 #include <string>
 
@@ -46,11 +48,11 @@ int main(int argc, char** argv) {
     const std::string json_path = cli.get_string("json", "");
     scenario::EngineOptions opt;
     opt.bus_name = cli.get_string("bus", "");
-    opt.part_base = cli.get_string("part-base", "");
-    opt.telemetry = !cli.get_bool("no-telemetry");
+    std::string part_base = cli.get_string("part-base", "");
+    opt.child.telemetry = !cli.get_bool("no-telemetry");
     opt.echo_child_stderr = !cli.get_bool("quiet-children");
     opt.listen = cli.get_string("listen", "");
-    opt.profiler = cli.get_bool("profile");
+    opt.child.profiler = cli.get_bool("profile");
     cli.check_unknown();
 
     if (scenario_path.empty()) {
@@ -66,7 +68,11 @@ int main(int argc, char** argv) {
     // polls the counter. Live parts must be flowing for the dump (and the
     // endpoint) to have anything to merge.
     telemetry::install_snapshot_signal();
-    opt.live_parts = true;
+    if (part_base.empty()) {
+      part_base = "rubic_soak_" + std::to_string(static_cast<int>(getpid()));
+    }
+    opt.child.telemetry_base = part_base;
+    opt.child.live_base = part_base;
 
     const scenario::ScenarioSpec spec =
         scenario::load_scenario(scenario_path);

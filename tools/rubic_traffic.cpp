@@ -109,12 +109,6 @@ bool write_file(const std::string& path, const std::string& text) {
   return std::fclose(f) == 0 && ok;
 }
 
-void append_quoted(std::string& out, std::string_view text) {
-  out += '"';
-  telemetry::jsonutil::append_escaped(out, text);
-  out += '"';
-}
-
 // The /status body: the monitor's latest round (published under
 // MonitorConfig::publish_status) plus the workload's open-loop debt — what
 // an operator checks before blaming the SLO.
@@ -122,6 +116,7 @@ std::string traffic_status_json(const std::string& policy,
                                 runtime::TunedProcess& process,
                                 traffic::KvTrafficWorkload& workload) {
   using telemetry::jsonutil::append_double;
+  using telemetry::jsonutil::append_quoted;
   using telemetry::jsonutil::append_u64;
   const runtime::LiveStatus status = process.monitor().live_status();
   const traffic::TrafficSummary sum = workload.summary();

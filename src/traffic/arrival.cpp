@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "src/traffic/keydist.hpp"
@@ -37,28 +38,40 @@ double parse_f64(std::string_view text, std::string_view key) {
 }
 
 // Either distribution behind one sampling call so the schedule builder
-// doesn't branch per request.
+// doesn't branch per request. The zipfian zeta precompute is O(keys), so a
+// uniform run never pays it.
 class KeySampler {
  public:
-  KeySampler(const TrafficConfig& config)
-      : uniform_(config.keys),
-        zipfian_(config.keys, config.theta),
-        use_zipfian_(config.dist == "zipfian") {
-    if (config.dist != "zipfian" && config.dist != "uniform") {
+  KeySampler(const TrafficConfig& config) : uniform_(config.keys) {
+    if (config.dist == "zipfian") {
+      zipfian_.emplace(config.keys, config.theta);
+    } else if (config.dist != "uniform") {
       bad_config("dist must be zipfian or uniform, got '" + config.dist +
                  "'");
     }
   }
 
   std::uint64_t sample(util::Xoshiro256& rng) const noexcept {
-    return use_zipfian_ ? zipfian_.sample(rng) : uniform_.sample(rng);
+    return zipfian_ ? zipfian_->sample(rng) : uniform_.sample(rng);
   }
 
  private:
   UniformSampler uniform_;
-  ZipfianSampler zipfian_;
-  bool use_zipfian_;
+  std::optional<ZipfianSampler> zipfian_;
 };
+
+// Narrows a namespace-relative key into the packed Request. Config checks
+// bound every drawn key; only the fresh insert keys and order rows grow
+// with the run.
+std::uint32_t relative_key(std::uint64_t key) {
+  if (key > kMaxRelativeKey) {
+    bad_config("insert keys or order rows pass 2^32");
+  }
+  return static_cast<std::uint32_t>(key);
+}
+
+// Largest aux values: payment amounts and new_order stock indices.
+static_assert(500 <= Request::kMaxAux && kStockKeys - 1 <= Request::kMaxAux);
 
 }  // namespace
 
@@ -111,11 +124,28 @@ TrafficConfig parse_traffic_config(std::string_view spec) {
   return config;
 }
 
+std::size_t schedule_reserve(const RateCurve& curve) noexcept {
+  double expected = 0.0;
+  for (const Phase& phase : curve.phases()) {
+    expected += RateCurve::mean_rate(phase) * phase.seconds;
+  }
+  // Capped just past what a schedule holds (build_schedule then throws),
+  // which also keeps an infinite or NaN rate out of the cast.
+  const double cap = static_cast<double>(kMaxRelativeKey) + 1.0;
+  const double bound = std::ceil(expected + 6.0 * std::sqrt(expected)) + 64;
+  return static_cast<std::size_t>(bound <= cap ? bound : cap);
+}
+
 Schedule build_schedule(const TrafficConfig& config) {
   if (config.keys == 0) bad_config("keys must be > 0");
+  if (config.keys > kMaxRelativeKey) bad_config("keys must be < 2^32");
   if (config.clients == 0) bad_config("clients must be > 0");
+  if (config.clients > kMaxClients) bad_config("clients must be <= 65535");
   if (config.accounts < 2 * kWarehouseAccounts) {
     bad_config("accounts must be >= 8");
+  }
+  if (config.accounts > kMaxRelativeKey) {
+    bad_config("accounts must be < 2^32");
   }
   if (config.scan_len == 0) bad_config("scan_len must be > 0");
   if (config.index != "hash" && config.index != "btree") {
@@ -125,15 +155,25 @@ Schedule build_schedule(const TrafficConfig& config) {
   const OpMix& mix = mix_by_name(config.mix);  // throws on unknown mix
   Schedule schedule{config, RateCurve::parse(config.curve), {}, 0, 0};
   const RateCurve& curve = schedule.curve;
+  if (curve.phases().size() > kMaxPhases) {
+    bad_config("curve has more than 65536 phases");
+  }
+  const double total = curve.total_seconds();
+  if (!(total * 1e9 < static_cast<double>(kMaxArrivalNs))) {
+    bad_config("curve is longer than 2^48 ns (~78 h)");
+  }
+  // Every request adds at most one insert key or order row, so a schedule
+  // under 2^32 requests keeps both counters in range too.
+  const std::size_t reserve = schedule_reserve(curve);
+  if (reserve > kMaxRelativeKey) {
+    bad_config("curve offers too many requests (a schedule holds fewer "
+               "than 2^32)");
+  }
 
   util::Xoshiro256 rng(config.seed);
   const KeySampler sampler(config);
   std::vector<std::uint32_t> next_seq(config.clients, 1);
-
-  const double total = curve.total_seconds();
-  schedule.requests.reserve(static_cast<std::size_t>(
-      RateCurve::mean_rate(curve.phases().front()) * total) +
-      1024);
+  schedule.requests.reserve(reserve);
 
   // Piecewise inversion: exponential gaps at the instantaneous rate, with
   // zero-rate stretches skipped to the next phase boundary. Rates change
@@ -155,65 +195,55 @@ Schedule build_schedule(const TrafficConfig& config) {
     t += -std::log1p(-rng.uniform()) / rate;
     if (t >= total) break;
 
-    Request req;
-    req.arrival_ns = static_cast<std::uint64_t>(t * 1e9);
-    req.phase = static_cast<std::uint16_t>(curve.phase_index_at(t));
-    req.client = static_cast<std::uint32_t>(rng.below(config.clients));
-    req.seq = next_seq[req.client]++;
-    req.op = mix.pick(rng.uniform());
-    switch (req.op) {
+    // Keep the draw order below: a config must keep yielding the same
+    // requests (Arrival.StreamMatchesTheHistoricalDigest pins the stream).
+    const auto arrival_ns = static_cast<std::uint64_t>(t * 1e9);
+    const std::size_t phase = curve.phase_index_at(t);
+    const auto client = static_cast<std::uint32_t>(rng.below(config.clients));
+    const std::uint32_t seq = next_seq[client]++;
+    const OpKind op = mix.pick(rng.uniform());
+    std::uint64_t key = 0;
+    std::uint64_t key2 = 0;
+    std::uint64_t aux = 0;
+    switch (op) {
       case OpKind::kRead:
       case OpKind::kUpdate:
       case OpKind::kRmw:
-        req.key = static_cast<std::int64_t>(sampler.sample(rng));
+      case OpKind::kScan:
+        key = sampler.sample(rng);
         break;
       case OpKind::kInsert:
-        req.key =
-            static_cast<std::int64_t>(config.keys + schedule.insert_keys++);
+        key = config.keys + schedule.insert_keys++;
         break;
-      case OpKind::kScan:
-        req.key = static_cast<std::int64_t>(sampler.sample(rng));
-        req.aux = static_cast<std::int64_t>(config.scan_len);
+      case OpKind::kTransfer:
+        key = rng.below(config.accounts);
+        key2 = rng.below(config.accounts - 1);
+        if (key2 >= key) ++key2;
+        aux = 1 + rng.below(100);
         break;
-      case OpKind::kTransfer: {
-        const std::uint64_t a = rng.below(config.accounts);
-        std::uint64_t b = rng.below(config.accounts - 1);
-        if (b >= a) ++b;
-        req.key = kAccountBase + static_cast<std::int64_t>(a);
-        req.key2 = kAccountBase + static_cast<std::int64_t>(b);
-        req.aux = 1 + static_cast<std::int64_t>(rng.below(100));
+      case OpKind::kPayment:
+        key = kWarehouseAccounts +
+              rng.below(config.accounts - kWarehouseAccounts);
+        key2 = rng.below(kWarehouseAccounts);
+        aux = 1 + rng.below(500);
         break;
-      }
-      case OpKind::kPayment: {
-        const std::uint64_t customer =
-            kWarehouseAccounts +
-            rng.below(config.accounts - kWarehouseAccounts);
-        const std::uint64_t warehouse = rng.below(kWarehouseAccounts);
-        req.key = kAccountBase + static_cast<std::int64_t>(customer);
-        req.key2 = kAccountBase + static_cast<std::int64_t>(warehouse);
-        req.aux = 1 + static_cast<std::int64_t>(rng.below(500));
-        break;
-      }
       case OpKind::kNewOrder:
-        req.key = kDistrictBase +
-                  static_cast<std::int64_t>(rng.below(kDistricts));
-        req.key2 =
-            kOrderBase + static_cast<std::int64_t>(schedule.order_rows++);
-        req.aux = static_cast<std::int64_t>(rng.below(kStockKeys));
+        key = rng.below(kDistricts);
+        key2 = schedule.order_rows++;
+        aux = rng.below(kStockKeys);
         break;
       case OpKind::kStockScan:
-        req.key = static_cast<std::int64_t>(rng.below(kStockKeys));
-        req.aux = static_cast<std::int64_t>(kStockScanLen);
+        key = rng.below(kStockKeys);
         break;
       case OpKind::kOrderScan:
         // Window over the order rows created so far — recent orders when
         // the draw lands near the tail, a miss-heavy scan early in the run.
-        req.key = kOrderBase + static_cast<std::int64_t>(rng.below(
-                                   schedule.order_rows + 1));
-        req.aux = static_cast<std::int64_t>(kOrderScanLen);
+        key = rng.below(schedule.order_rows + 1);
         break;
     }
-    schedule.requests.push_back(req);
+    schedule.requests.emplace_back(
+        arrival_ns, phase, client, seq, op, relative_key(key),
+        relative_key(key2), static_cast<std::uint32_t>(aux));
   }
   return schedule;
 }

@@ -41,15 +41,10 @@ KvTrafficWorkload::KvTrafficWorkload(stm::Runtime& rt, Schedule schedule)
           schedule_.config.accounts + kStockKeys + kDistricts +
           schedule_.order_rows + 2 * schedule_.config.clients)),
       use_btree_(schedule_.config.index == "btree") {
-  arrivals_.reserve(schedule_.requests.size());
-  for (const Request& req : schedule_.requests) {
-    arrivals_.push_back(req.arrival_ns);
-  }
-
   const auto& curve_phases = schedule_.curve.phases();
   scheduled_per_phase_.assign(curve_phases.size(), 0);
   for (const Request& req : schedule_.requests) {
-    ++scheduled_per_phase_[req.phase];
+    ++scheduled_per_phase_[req.phase()];
   }
   phases_.reserve(curve_phases.size());
   for (std::size_t i = 0; i < curve_phases.size(); ++i) {
@@ -121,10 +116,38 @@ std::uint64_t KvTrafficWorkload::elapsed_ns() const {
           .count());
 }
 
-std::uint64_t KvTrafficWorkload::due_by(std::uint64_t elapsed) const {
-  const auto it =
-      std::upper_bound(arrivals_.begin(), arrivals_.end(), elapsed);
-  return static_cast<std::uint64_t>(it - arrivals_.begin());
+std::uint64_t KvTrafficWorkload::due_by(std::uint64_t elapsed_ns) const {
+  // Gallop from the hint toward the answer, then binary-search the last
+  // stride: O(log distance), and a single probe when the hint is current.
+  const std::vector<Request>& reqs = schedule_.requests;
+  const auto later = [](std::uint64_t elapsed, const Request& req) {
+    return elapsed < req.arrival_ns();
+  };
+  const std::uint64_t hint = due_cursor_.load(std::memory_order_relaxed);
+  std::uint64_t lo = hint;  // every arrival below lo is due
+  std::uint64_t hi = hint;  // the arrival at hi (if any) is not
+  if (hint > 0 && reqs[hint - 1].arrival_ns() > elapsed_ns) {
+    // A clock behind the hint: search below it.
+    hi = lo = hint - 1;
+    for (std::uint64_t step = 1;
+         lo > 0 && reqs[lo - 1].arrival_ns() > elapsed_ns; step *= 2) {
+      hi = lo - 1;
+      lo = hi > step ? hi - step : 0;
+    }
+  } else {
+    for (std::uint64_t step = 1;
+         hi < reqs.size() && reqs[hi].arrival_ns() <= elapsed_ns; step *= 2) {
+      lo = hi + 1;
+      hi = std::min<std::uint64_t>(reqs.size(), hi + step);
+    }
+  }
+  const auto due = static_cast<std::uint64_t>(
+      std::upper_bound(reqs.begin() + static_cast<std::ptrdiff_t>(lo),
+                       reqs.begin() + static_cast<std::ptrdiff_t>(hi),
+                       elapsed_ns, later) -
+      reqs.begin());
+  update_max(due_cursor_, due);
+  return due;
 }
 
 std::uint64_t KvTrafficWorkload::backlog_now() const {
@@ -156,7 +179,7 @@ void KvTrafficWorkload::run_task(stm::TxnDesc& ctx, util::Xoshiro256&) {
   }
   const Request& req = schedule_.requests[idx];
   ensure_clock_started();
-  wait_until(req.arrival_ns);
+  wait_until(req.arrival_ns());
   if (const fault::Fire f = fault::probe(fault::Site::kTrafficStall);
       f.fired) [[unlikely]] {
     std::this_thread::sleep_for(std::chrono::duration_cast<
@@ -167,10 +190,10 @@ void KvTrafficWorkload::run_task(stm::TxnDesc& ctx, util::Xoshiro256&) {
   execute(ctx, req);
 
   const std::uint64_t now = elapsed_ns();
-  const std::uint64_t latency_ns =
-      now > req.arrival_ns ? now - req.arrival_ns : 0;
+  const std::uint64_t arrival_ns = req.arrival_ns();
+  const std::uint64_t latency_ns = now > arrival_ns ? now - arrival_ns : 0;
   const std::uint64_t latency_us = latency_ns / 1000;
-  PhaseAgg& agg = *phases_[req.phase];
+  PhaseAgg& agg = *phases_[req.phase()];
   agg.latency_us.observe(latency_us);
   agg.completed.fetch_add(1, std::memory_order_relaxed);
   const bool within_slo = latency_us <= schedule_.config.slo_us;
@@ -197,11 +220,11 @@ bool KvTrafficWorkload::done() const {
 }
 
 void KvTrafficWorkload::mark_applied(Txn& tx, const Request& req) {
-  const std::int64_t ck = client_count_key(req.client);
-  const std::int64_t sk = client_sum_key(req.client);
+  const std::int64_t ck = client_count_key(req.client());
+  const std::int64_t sk = client_sum_key(req.client());
   map_.put(tx, ck, map_.get(tx, ck).value_or(0) + 1);
   map_.put(tx, sk,
-           map_.get(tx, sk).value_or(0) + static_cast<std::int64_t>(req.seq));
+           map_.get(tx, sk).value_or(0) + static_cast<std::int64_t>(req.seq()));
 }
 
 void KvTrafficWorkload::execute(stm::TxnDesc& ctx, const Request& req) {
@@ -216,36 +239,41 @@ void KvTrafficWorkload::execute(stm::TxnDesc& ctx, const Request& req) {
     }
     return ids;
   }();
+  const OpKind op = req.op();
   stm::profiler::ScopedTxnLabel txn_label(
-      kOpLabels[static_cast<std::size_t>(req.op)]);
-  switch (req.op) {
+      kOpLabels[static_cast<std::size_t>(op)]);
+  const std::int64_t key = req.key();
+  const std::int64_t key2 = req.key2();
+  const std::int64_t aux = req.aux();
+  const auto scan_len = static_cast<std::int64_t>(schedule_.scan_len(op));
+  switch (op) {
     case OpKind::kRead:
-      stm::atomically(ctx, [&](Txn& tx) { (void)map_.get(tx, req.key); });
+      stm::atomically(ctx, [&](Txn& tx) { (void)map_.get(tx, key); });
       break;
     case OpKind::kUpdate:
       stm::atomically(ctx, [&](Txn& tx) {
-        map_.put(tx, req.key, static_cast<std::int64_t>(req.seq));
+        map_.put(tx, key, static_cast<std::int64_t>(req.seq()));
         mark_applied(tx, req);
       });
       break;
     case OpKind::kInsert:
       stm::atomically(ctx, [&](Txn& tx) {
-        map_.insert(tx, req.key, static_cast<std::int64_t>(req.seq));
+        map_.insert(tx, key, static_cast<std::int64_t>(req.seq()));
         mark_applied(tx, req);
       });
       break;
     case OpKind::kScan: {
       const auto span = static_cast<std::int64_t>(schedule_.config.keys);
       stm::atomically(ctx, [&](Txn& tx) {
-        for (std::int64_t i = 0; i < req.aux; ++i) {
-          (void)map_.get(tx, (req.key + i) % span);
+        for (std::int64_t i = 0; i < scan_len; ++i) {
+          (void)map_.get(tx, (key + i) % span);
         }
       });
       break;
     }
     case OpKind::kRmw:
       stm::atomically(ctx, [&](Txn& tx) {
-        map_.put(tx, req.key, map_.get(tx, req.key).value_or(0) + 1);
+        map_.put(tx, key, map_.get(tx, key).value_or(0) + 1);
         mark_applied(tx, req);
       });
       break;
@@ -254,25 +282,25 @@ void KvTrafficWorkload::execute(stm::TxnDesc& ctx, const Request& req) {
       // Zero-sum move: the two writes always cancel, so the account total
       // is invariant under any serialization of transfers.
       stm::atomically(ctx, [&](Txn& tx) {
-        map_.put(tx, req.key, map_.get(tx, req.key).value_or(0) - req.aux);
-        map_.put(tx, req.key2, map_.get(tx, req.key2).value_or(0) + req.aux);
+        map_.put(tx, key, map_.get(tx, key).value_or(0) - aux);
+        map_.put(tx, key2, map_.get(tx, key2).value_or(0) + aux);
         mark_applied(tx, req);
       });
       break;
     case OpKind::kNewOrder:
       stm::atomically(ctx, [&](Txn& tx) {
-        const std::int64_t oid = map_.get(tx, req.key).value_or(0);
-        map_.put(tx, req.key, oid + 1);
+        const std::int64_t oid = map_.get(tx, key).value_or(0);
+        map_.put(tx, key, oid + 1);
         if (use_btree_) {
-          orders_.insert(tx, req.key2, oid);
+          orders_.insert(tx, key2, oid);
         } else {
-          map_.insert(tx, req.key2, oid);
+          map_.insert(tx, key2, oid);
         }
         for (std::uint64_t i = 0; i < kStockTouchesPerOrder; ++i) {
           const std::int64_t stock =
               kStockBase +
               static_cast<std::int64_t>(
-                  (static_cast<std::uint64_t>(req.aux) + i) % kStockKeys);
+                  (static_cast<std::uint64_t>(aux) + i) % kStockKeys);
           map_.put(tx, stock, map_.get(tx, stock).value_or(0) - 1);
         }
         mark_applied(tx, req);
@@ -280,11 +308,11 @@ void KvTrafficWorkload::execute(stm::TxnDesc& ctx, const Request& req) {
       break;
     case OpKind::kStockScan:
       stm::atomically(ctx, [&](Txn& tx) {
-        for (std::int64_t i = 0; i < req.aux; ++i) {
+        for (std::int64_t i = 0; i < scan_len; ++i) {
           const std::int64_t stock =
               kStockBase +
               static_cast<std::int64_t>(
-                  (static_cast<std::uint64_t>(req.key) +
+                  (static_cast<std::uint64_t>(key) +
                    static_cast<std::uint64_t>(i)) %
                   kStockKeys);
           (void)map_.get(tx, stock);
@@ -298,11 +326,11 @@ void KvTrafficWorkload::execute(stm::TxnDesc& ctx, const Request& req) {
       // --index flag is meant to expose.
       stm::atomically(ctx, [&](Txn& tx) {
         if (use_btree_) {
-          (void)orders_.range_scan(tx, req.key, req.key + req.aux,
+          (void)orders_.range_scan(tx, key, key + scan_len,
                                    [](std::int64_t, std::int64_t) {});
         } else {
-          for (std::int64_t i = 0; i < req.aux; ++i) {
-            (void)map_.get(tx, req.key + i);
+          for (std::int64_t i = 0; i < scan_len; ++i) {
+            (void)map_.get(tx, key + i);
           }
         }
       });
@@ -390,11 +418,12 @@ bool KvTrafficWorkload::verify(std::string* error) {
   std::uint64_t want_inserts = 0;
   for (std::uint64_t i = 0; i < dispatched; ++i) {
     const Request& req = schedule_.requests[i];
-    if (!op_writes(req.op)) continue;
-    ++want_count[req.client];
-    want_sum[req.client] += static_cast<std::int64_t>(req.seq);
-    if (req.op == OpKind::kNewOrder) ++want_orders;
-    if (req.op == OpKind::kInsert) ++want_inserts;
+    const OpKind op = req.op();
+    if (!op_writes(op)) continue;
+    ++want_count[req.client()];
+    want_sum[req.client()] += static_cast<std::int64_t>(req.seq());
+    if (op == OpKind::kNewOrder) ++want_orders;
+    if (op == OpKind::kInsert) ++want_inserts;
   }
 
   for (std::uint32_t c = 0; c < schedule_.config.clients; ++c) {

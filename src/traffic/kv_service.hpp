@@ -91,6 +91,11 @@ class KvTrafficWorkload final : public workloads::Workload {
   // Requests due by now but not yet executed (0 before the clock starts).
   std::uint64_t backlog_now() const;
 
+  // Requests whose arrival is at or before `elapsed_ns` (the upper bound of
+  // `elapsed_ns` over the sorted arrivals). Callers' clocks mostly move
+  // forward, so the search starts from the last answer; thread-safe.
+  std::uint64_t due_by(std::uint64_t elapsed_ns) const;
+
   TrafficSummary summary() const;
 
   const Schedule& schedule() const noexcept { return schedule_; }
@@ -124,7 +129,6 @@ class KvTrafficWorkload final : public workloads::Workload {
   void execute(stm::TxnDesc& ctx, const Request& req);
   void mark_applied(stm::Txn& tx, const Request& req);
   std::uint64_t elapsed_ns() const;
-  std::uint64_t due_by(std::uint64_t elapsed) const;
 
   Schedule schedule_;
   tds::THashMap map_;
@@ -132,10 +136,12 @@ class KvTrafficWorkload final : public workloads::Workload {
   // and order_scan walks the leaf chain; under index=hash both ops use map_.
   tds::TBTree orders_;
   bool use_btree_ = false;
-  std::vector<std::uint64_t> arrivals_;  // sorted copy for backlog search
 
   std::atomic<std::uint64_t> next_{0};      // dispatch cursor
   std::atomic<std::uint64_t> executed_{0};  // completed requests
+  // Largest due_by() answer so far: a search hint that only moves forward.
+  // due_by() is exact from any hint, so relaxed loads and stores suffice.
+  mutable std::atomic<std::uint64_t> due_cursor_{0};
   std::atomic<bool> halted_{false};
 
   std::once_flag clock_once_;

@@ -462,13 +462,14 @@ TEST(AdaptiveMonitor, SurvivesAFaultStormMidAdaptation) {
   // Controller throws, worker stalls and forced commit conflicts all armed
   // while the adaptive schedule is walking the engines: the run must
   // complete, stay lossless, and still make progress every round.
-  fault::arm(*fault::Plan::parse("seed=11;controller_throw:prob=0.2;"
-                                 "worker_stall:us=100,prob=0.05;"
-                                 "stm_conflict:prob=0.02")
-                  .release());
-  const AdaptiveRun run =
-      run_adaptive_monitor("adaptive:ebs", 48, stm::BackendKind::kNorec);
-  fault::disarm();
+  const auto plan = fault::Plan::parse(
+      "seed=11;controller_throw:prob=0.2;"
+      "worker_stall:us=100,prob=0.05;"
+      "stm_conflict:prob=0.02");
+  const AdaptiveRun run = [&] {
+    fault::Armed armed(*plan);
+    return run_adaptive_monitor("adaptive:ebs", 48, stm::BackendKind::kNorec);
+  }();
   EXPECT_EQ(run.workload_total,
             static_cast<std::int64_t>(run.tasks_completed));
   // Switching is best-effort under the storm, but the schedule retries

@@ -24,11 +24,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "src/fault/fault.hpp"
@@ -50,15 +53,39 @@ struct CommittedTxn {
   std::vector<std::pair<int, std::int64_t>> writes;
 };
 
+constexpr const char* kFaultStormSpec = "seed=17;stm_conflict:prob=0.05";
+
+// Every byte of the param is a value, never a pointer or padding. gtest
+// prints a param that has no operator<< as a dump of its bytes, and
+// gtest_discover_tests puts that dump in the ctest test name; the name and
+// fault-spec pointers made it change from run to run.
 struct SerializabilityCase {
-  const char* name;
-  BackendKind backend;
-  CmPolicy cm;
-  LockTiming lock_timing;
-  // When non-null, armed for the whole run: injected commit aborts must
+  std::array<char, 20> name{};  // NUL-terminated only when shorter
+  BackendKind backend{};
+  CmPolicy cm{};
+  LockTiming lock_timing{};
+  // Arms kFaultStormSpec for the whole run: injected commit aborts must
   // never let a non-serializable history commit.
-  const char* fault_spec;
+  bool fault_storm = false;
+
+  std::string test_name() const {
+    const auto end = std::find(name.begin(), name.end(), '\0');
+    return std::string(name.begin(), end) + (fault_storm ? "FaultStorm" : "");
+  }
 };
+static_assert(std::has_unique_object_representations_v<SerializabilityCase>);
+
+SerializabilityCase make_case(std::string_view name, BackendKind backend,
+                              CmPolicy cm, LockTiming lock_timing,
+                              bool fault_storm = false) {
+  SerializabilityCase test_case;
+  name.copy(test_case.name.data(), test_case.name.size());
+  test_case.backend = backend;
+  test_case.cm = cm;
+  test_case.lock_timing = lock_timing;
+  test_case.fault_storm = fault_storm;
+  return test_case;
+}
 
 class SerializabilityTest
     : public ::testing::TestWithParam<SerializabilityCase> {
@@ -76,8 +103,8 @@ TEST_P(SerializabilityTest, CommitOrderReplayMatchesEveryObservation) {
 
   std::unique_ptr<fault::Plan> plan;
   std::unique_ptr<fault::Armed> armed;
-  if (test_case.fault_spec != nullptr) {
-    plan = fault::Plan::parse(test_case.fault_spec);
+  if (test_case.fault_storm) {
+    plan = fault::Plan::parse(kFaultStormSpec);
     armed = std::make_unique<fault::Armed>(*plan);
   }
 
@@ -214,7 +241,7 @@ TEST_P(SerializabilityTest, CommitOrderReplayMatchesEveryObservation) {
   // a conflict-free run).
   EXPECT_GT(rt.aggregate_stats().total_aborts(), 0u)
       << "test produced no conflicts; tighten the variable count";
-  if (test_case.fault_spec != nullptr) {
+  if (test_case.fault_storm) {
     EXPECT_GT(rt.aggregate_stats()
                   .aborts[static_cast<std::size_t>(AbortCause::kFaultInjected)],
               0u)
@@ -228,39 +255,29 @@ TEST_P(SerializabilityTest, CommitOrderReplayMatchesEveryObservation) {
 INSTANTIATE_TEST_SUITE_P(
     Matrix, SerializabilityTest,
     ::testing::Values(
-        SerializabilityCase{"TimidEncounterOrec", BackendKind::kOrecSwiss,
-                            CmPolicy::kTimidBackoff,
-                            LockTiming::kEncounterTime, nullptr},
-        SerializabilityCase{"TimidCommitTimeOrec", BackendKind::kOrecSwiss,
-                            CmPolicy::kTimidBackoff, LockTiming::kCommitTime,
-                            nullptr},
-        SerializabilityCase{"GreedyEncounterOrec", BackendKind::kOrecSwiss,
-                            CmPolicy::kGreedyTimestamp,
-                            LockTiming::kEncounterTime, nullptr},
-        SerializabilityCase{"GreedyCommitTimeOrec", BackendKind::kOrecSwiss,
-                            CmPolicy::kGreedyTimestamp,
-                            LockTiming::kCommitTime, nullptr},
-        SerializabilityCase{"Norec", BackendKind::kNorec,
-                            CmPolicy::kTimidBackoff,
-                            LockTiming::kEncounterTime, nullptr},
+        make_case("TimidEncounterOrec", BackendKind::kOrecSwiss,
+                  CmPolicy::kTimidBackoff, LockTiming::kEncounterTime),
+        make_case("TimidCommitTimeOrec", BackendKind::kOrecSwiss,
+                  CmPolicy::kTimidBackoff, LockTiming::kCommitTime),
+        make_case("GreedyEncounterOrec", BackendKind::kOrecSwiss,
+                  CmPolicy::kGreedyTimestamp, LockTiming::kEncounterTime),
+        make_case("GreedyCommitTimeOrec", BackendKind::kOrecSwiss,
+                  CmPolicy::kGreedyTimestamp, LockTiming::kCommitTime),
+        make_case("Norec", BackendKind::kNorec, CmPolicy::kTimidBackoff,
+                  LockTiming::kEncounterTime),
         // TL2 ignores cm/lock-timing (commit-time only): one entry, plus
         // the fault-storm variant below, replay-verifies the whole protocol
         // end-to-end.
-        SerializabilityCase{"Tl2", BackendKind::kTl2, CmPolicy::kTimidBackoff,
-                            LockTiming::kEncounterTime, nullptr},
-        SerializabilityCase{"TimidEncounterOrecFaultStorm",
-                            BackendKind::kOrecSwiss, CmPolicy::kTimidBackoff,
-                            LockTiming::kEncounterTime,
-                            "seed=17;stm_conflict:prob=0.05"},
-        SerializabilityCase{"NorecFaultStorm", BackendKind::kNorec,
-                            CmPolicy::kTimidBackoff,
-                            LockTiming::kEncounterTime,
-                            "seed=17;stm_conflict:prob=0.05"},
-        SerializabilityCase{"Tl2FaultStorm", BackendKind::kTl2,
-                            CmPolicy::kTimidBackoff,
-                            LockTiming::kEncounterTime,
-                            "seed=17;stm_conflict:prob=0.05"}),
-    [](const auto& param_info) { return std::string(param_info.param.name); });
+        make_case("Tl2", BackendKind::kTl2, CmPolicy::kTimidBackoff,
+                  LockTiming::kEncounterTime),
+        make_case("TimidEncounterOrec", BackendKind::kOrecSwiss,
+                  CmPolicy::kTimidBackoff, LockTiming::kEncounterTime,
+                  /*fault_storm=*/true),
+        make_case("Norec", BackendKind::kNorec, CmPolicy::kTimidBackoff,
+                  LockTiming::kEncounterTime, /*fault_storm=*/true),
+        make_case("Tl2", BackendKind::kTl2, CmPolicy::kTimidBackoff,
+                  LockTiming::kEncounterTime, /*fault_storm=*/true)),
+    [](const auto& param_info) { return param_info.param.test_name(); });
 
 }  // namespace
 }  // namespace rubic::stm

@@ -17,12 +17,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <limits>
 #include <map>
 #include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "src/stm/stm.hpp"
@@ -151,23 +153,32 @@ void insert_keys(TMap& map, stm::TxnDesc& ctx, Model& model,
   }
 }
 
+// The structure name is held inline and no byte of the param is padding.
+// gtest prints a param that has no operator<< as a dump of its bytes, and
+// gtest_discover_tests puts that dump in the ctest test name; a
+// string_view's pointer and uninitialized padding made the name change
+// from run to run.
 struct MatrixParam {
-  std::string_view structure;
-  stm::BackendKind backend;
+  std::array<char, 23> structure{};  // NUL-terminated
+  stm::BackendKind backend{};
 };
+static_assert(std::has_unique_object_representations_v<MatrixParam>);
 
 std::vector<MatrixParam> matrix_params() {
   std::vector<MatrixParam> params;
   for (const auto structure : known_structures()) {
     for (const auto backend : stm::known_backends()) {
-      params.push_back({structure, backend});
+      MatrixParam param;
+      structure.copy(param.structure.data(), param.structure.size() - 1);
+      param.backend = backend;
+      params.push_back(param);
     }
   }
   return params;
 }
 
 std::string matrix_name(const ::testing::TestParamInfo<MatrixParam>& info) {
-  return std::string(info.param.structure) + "_" +
+  return std::string(info.param.structure.data()) + "_" +
          std::string(stm::backend_name(info.param.backend));
 }
 
@@ -176,7 +187,7 @@ class StructureMatrix : public ::testing::TestWithParam<MatrixParam> {};
 TEST_P(StructureMatrix, SeededFillMatchesReference) {
   stm::Runtime rt(with_backend(GetParam().backend));
   stm::TxnDesc& ctx = rt.register_thread();
-  auto map = make_structure(GetParam().structure);
+  auto map = make_structure(GetParam().structure.data());
   const FillResult r = fill(*map, ctx, 512, 2048, /*seed=*/0xf111ed);
   EXPECT_EQ(r.inserted, 512u);
   EXPECT_GE(r.attempts, r.inserted);
@@ -188,7 +199,7 @@ TEST_P(StructureMatrix, SeededFillMatchesReference) {
 TEST_P(StructureMatrix, MixedOpsMatchStdMap) {
   stm::Runtime rt(with_backend(GetParam().backend));
   stm::TxnDesc& ctx = rt.register_thread();
-  auto map = make_structure(GetParam().structure);
+  auto map = make_structure(GetParam().structure.data());
   Model model;
   util::Xoshiro256 rng(0x0b5e55ed);
   constexpr std::int64_t kRange = 256;
@@ -243,7 +254,7 @@ TEST_P(StructureMatrix, MixedOpsMatchStdMap) {
 // invariants must hold quiescently.
 TEST_P(StructureMatrix, ConcurrentChurnReconcilesCounts) {
   stm::Runtime rt(with_backend(GetParam().backend));
-  auto map = make_structure(GetParam().structure);
+  auto map = make_structure(GetParam().structure.data());
   constexpr std::int64_t kRange = 512;
   constexpr int kThreads = 4;
   constexpr int kOpsPerThread = 500;
@@ -318,7 +329,7 @@ TEST_P(StructureMatrix, ConcurrentChurnReconcilesCounts) {
 TEST_P(StructureMatrix, ScanOfEmptyMapVisitsNothing) {
   stm::Runtime rt(with_backend(GetParam().backend));
   stm::TxnDesc& ctx = rt.register_thread();
-  auto map = make_structure(GetParam().structure);
+  auto map = make_structure(GetParam().structure.data());
   EXPECT_TRUE(scan_pairs(*map, ctx, 0, 16).empty());
   EXPECT_TRUE(scan_pairs(*map, ctx, kMin, kMin + 16).empty());
   EXPECT_TRUE(scan_pairs(*map, ctx, kMax - 16, kMax).empty());
@@ -332,7 +343,7 @@ TEST_P(StructureMatrix, ScanOfEmptyMapVisitsNothing) {
 TEST_P(StructureMatrix, ScanWithHiNotAboveLoVisitsNothing) {
   stm::Runtime rt(with_backend(GetParam().backend));
   stm::TxnDesc& ctx = rt.register_thread();
-  auto map = make_structure(GetParam().structure);
+  auto map = make_structure(GetParam().structure.data());
   Model model;
   std::vector<std::int64_t> keys;
   for (std::int64_t k = 0; k < 64; ++k) keys.push_back(k);
@@ -347,7 +358,7 @@ TEST_P(StructureMatrix, ScanWithHiNotAboveLoVisitsNothing) {
 TEST_P(StructureMatrix, ScanCoveringWholeMapVisitsEveryPair) {
   stm::Runtime rt(with_backend(GetParam().backend));
   stm::TxnDesc& ctx = rt.register_thread();
-  auto map = make_structure(GetParam().structure);
+  auto map = make_structure(GetParam().structure.data());
   Model model;
   util::Xoshiro256 rng(0x5ca9);
   std::vector<std::int64_t> keys;
@@ -368,7 +379,7 @@ TEST_P(StructureMatrix, ScanCoveringWholeMapVisitsEveryPair) {
 TEST_P(StructureMatrix, ScanAtInt64ExtremesMatchesStdMap) {
   stm::Runtime rt(with_backend(GetParam().backend));
   stm::TxnDesc& ctx = rt.register_thread();
-  auto map = make_structure(GetParam().structure);
+  auto map = make_structure(GetParam().structure.data());
   Model model;
   insert_keys(*map, ctx, model,
               {kMin, kMin + 1, kMin + 5, -1, 0, 1, kMax - 5, kMax - 1, kMax});
@@ -393,7 +404,7 @@ TEST_P(StructureMatrix, ScanAtInt64ExtremesMatchesStdMap) {
 // scan that runs in one transaction must see each pair whole or not at all.
 TEST_P(StructureMatrix, ScansSeeWritePairsAtomically) {
   stm::Runtime rt(with_backend(GetParam().backend));
-  auto map = make_structure(GetParam().structure);
+  auto map = make_structure(GetParam().structure.data());
   constexpr std::int64_t kPairs = 64;
   constexpr int kWriters = 2, kScanners = 2, kOpsPerThread = 400;
   std::atomic<int> torn{0};

@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/control/factory.hpp"
@@ -215,11 +217,11 @@ TEST(Arrival, DeterministicPerSeedAndSensitiveToIt) {
   const traffic::Schedule b = traffic::build_schedule(config);
   ASSERT_EQ(a.requests.size(), b.requests.size());
   for (std::size_t i = 0; i < a.requests.size(); ++i) {
-    EXPECT_EQ(a.requests[i].arrival_ns, b.requests[i].arrival_ns);
-    EXPECT_EQ(a.requests[i].client, b.requests[i].client);
-    EXPECT_EQ(a.requests[i].seq, b.requests[i].seq);
-    EXPECT_EQ(a.requests[i].op, b.requests[i].op);
-    EXPECT_EQ(a.requests[i].key, b.requests[i].key);
+    EXPECT_EQ(a.requests[i].arrival_ns(), b.requests[i].arrival_ns());
+    EXPECT_EQ(a.requests[i].client(), b.requests[i].client());
+    EXPECT_EQ(a.requests[i].seq(), b.requests[i].seq());
+    EXPECT_EQ(a.requests[i].op(), b.requests[i].op());
+    EXPECT_EQ(a.requests[i].key(), b.requests[i].key());
   }
 
   traffic::TrafficConfig other = config;
@@ -227,7 +229,7 @@ TEST(Arrival, DeterministicPerSeedAndSensitiveToIt) {
   const traffic::Schedule c = traffic::build_schedule(other);
   bool differs = c.requests.size() != a.requests.size();
   for (std::size_t i = 0; !differs && i < a.requests.size(); ++i) {
-    differs = a.requests[i].arrival_ns != c.requests[i].arrival_ns;
+    differs = a.requests[i].arrival_ns() != c.requests[i].arrival_ns();
   }
   EXPECT_TRUE(differs);
 }
@@ -242,12 +244,12 @@ TEST(Arrival, SchedulesAreOrderedSequencedAndRateAccurate) {
   std::vector<std::uint32_t> next_seq(config.clients, 1);
   std::uint64_t last_arrival = 0;
   for (const traffic::Request& req : schedule.requests) {
-    EXPECT_GE(req.arrival_ns, last_arrival);
-    last_arrival = req.arrival_ns;
-    ASSERT_LT(req.client, config.clients);
+    EXPECT_GE(req.arrival_ns(), last_arrival);
+    last_arrival = req.arrival_ns();
+    ASSERT_LT(req.client(), config.clients);
     // Per-client sequence numbers are dense from 1 — the property the
     // checksum verifier leans on.
-    EXPECT_EQ(req.seq, next_seq[req.client]++);
+    EXPECT_EQ(req.seq(), next_seq[req.client()]++);
   }
 }
 
@@ -258,17 +260,135 @@ TEST(Arrival, PhaseIndicesFollowTheCurve) {
   std::uint64_t in_warm = 0;
   std::uint64_t in_burst = 0;
   for (const traffic::Request& req : schedule.requests) {
-    if (req.phase == 0) {
+    if (req.phase() == 0) {
       ++in_warm;
-      EXPECT_LT(req.arrival_ns, 1'000'000'000u);
+      EXPECT_LT(req.arrival_ns(), 1'000'000'000u);
     } else {
-      ASSERT_EQ(req.phase, 1u);
+      ASSERT_EQ(req.phase(), 1u);
       ++in_burst;
-      EXPECT_GE(req.arrival_ns, 1'000'000'000u);
+      EXPECT_GE(req.arrival_ns(), 1'000'000'000u);
     }
   }
   // Burst offers 4× the warm rate.
   EXPECT_GT(in_burst, 2 * in_warm);
+}
+
+TEST(Arrival, RequestIsTwentyFourBytesOrLess) {
+  // The schedule is the open-loop run's largest allocation; the header's
+  // static_assert holds the same line.
+  EXPECT_LE(sizeof(traffic::Request), 24u);
+}
+
+// FNV-1a over every field a request carries, in the units the service uses
+// (namespaced keys, scan lengths as aux).
+std::uint64_t stream_digest(const traffic::Schedule& schedule) {
+  std::uint64_t hash = 1469598103934665603ULL;
+  const auto mix = [&hash](std::uint64_t value) {
+    hash = (hash ^ value) * 1099511628211ULL;
+  };
+  for (const traffic::Request& req : schedule.requests) {
+    const std::uint64_t scan_len = schedule.scan_len(req.op());
+    mix(req.arrival_ns());
+    mix(req.client());
+    mix(req.seq());
+    mix(static_cast<std::uint64_t>(req.op()));
+    mix(static_cast<std::uint64_t>(req.key()));
+    mix(static_cast<std::uint64_t>(req.key2()));
+    mix(scan_len != 0 ? scan_len : static_cast<std::uint64_t>(req.aux()));
+    mix(req.phase());
+  }
+  return hash;
+}
+
+TEST(Arrival, StreamMatchesTheHistoricalDigest) {
+  // The expected digests and counts come from the 48-byte request layout
+  // the packed one replaced: the same config must keep replaying the same
+  // traffic, draw for draw. The curves cover a zero-rate phase and a ramp.
+  traffic::TrafficConfig tpcc;
+  tpcc.mix = "tpcc-lite";
+  tpcc.keys = 2048;
+  tpcc.accounts = 64;
+  tpcc.clients = 16;
+  tpcc.seed = 5;
+  tpcc.curve = "phases:warm=2000@0.5,burst=8000@0.5,cool=0@0.25,tail=1000@0.25";
+  const traffic::Schedule a = traffic::build_schedule(tpcc);
+  EXPECT_EQ(a.requests.size(), 5141u);
+  EXPECT_EQ(a.order_rows, 2146u);
+  EXPECT_EQ(stream_digest(a), 0xf8b31b308f899e1bULL);
+
+  traffic::TrafficConfig scans;
+  scans.mix = "ycsb-e";
+  scans.dist = "uniform";
+  scans.keys = 4096;
+  scans.accounts = 32;
+  scans.clients = 8;
+  scans.scan_len = 24;
+  scans.seed = 7;
+  scans.curve = "ramp:from=500,to=5000,seconds=1";
+  const traffic::Schedule b = traffic::build_schedule(scans);
+  EXPECT_EQ(b.requests.size(), 2702u);
+  EXPECT_EQ(b.insert_keys, 149u);
+  EXPECT_EQ(stream_digest(b), 0x6abf408e8b255d2bULL);
+}
+
+TEST(Arrival, LadderBuildsInOneAllocation) {
+  // A rising ladder like kv-open's: reserving for the first phase's rate
+  // alone would regrow the vector at every doubling.
+  traffic::TrafficConfig config = small_config();
+  config.mix = "tpcc-lite";
+  config.curve = "phases:warmup=20000@0.05";
+  for (const int krps : {100, 200, 300, 400, 450, 500, 550, 600, 1000}) {
+    config.curve += "," + std::to_string(krps) + "k=" +
+                    std::to_string(krps * 1000) + "@0.01";
+  }
+  const traffic::Schedule schedule = traffic::build_schedule(config);
+  EXPECT_GT(schedule.requests.size(), 30000u);
+  EXPECT_EQ(schedule.requests.capacity(),
+            traffic::schedule_reserve(schedule.curve));
+}
+
+TEST(Arrival, RejectsConfigsThePackedLayoutCannotHold) {
+  const auto rejects = [](const traffic::TrafficConfig& config) {
+    EXPECT_THROW(traffic::build_schedule(config), std::invalid_argument)
+        << config.mix << " " << config.curve;
+  };
+  traffic::TrafficConfig config = small_config();
+  config.clients = traffic::kMaxClients;
+  EXPECT_NO_THROW(traffic::build_schedule(config));
+  config.clients = traffic::kMaxClients + 1;
+  rejects(config);
+
+  config = small_config();
+  config.keys = traffic::kMaxRelativeKey + 1;
+  rejects(config);
+
+  config = small_config();
+  config.accounts = traffic::kMaxRelativeKey + 1;
+  rejects(config);
+
+  // Insert keys start at `keys` and pass 2^32 a few requests in.
+  config = small_config();
+  config.mix = "ycsb-e";
+  config.dist = "uniform";
+  config.keys = traffic::kMaxRelativeKey - 4;
+  rejects(config);
+
+  // 2^32 order rows take 2^32 requests: refused before any is drawn.
+  config = small_config();
+  config.mix = "tpcc-lite";
+  config.curve = "constant:rate=5e9,seconds=1";
+  rejects(config);
+
+  config = small_config();
+  config.curve = "constant:rate=1,seconds=300000";  // past 2^48 ns
+  rejects(config);
+
+  config = small_config();
+  config.curve = "phases:p0=1@1";
+  for (std::uint64_t i = 1; i < traffic::kMaxPhases + 1; ++i) {
+    config.curve += ",p" + std::to_string(i) + "=1@1";
+  }
+  rejects(config);
 }
 
 TEST(Arrival, RejectsUndersizedConfigs) {
@@ -363,6 +483,77 @@ TEST(KvService, BTreeOrderIndexDrainsScansAndVerifies) {
     EXPECT_LT(key, traffic::kDistrictBase);
     last_key = key;
   });
+}
+
+TEST(KvService, DueByMatchesUpperBoundForAnyQueryOrder) {
+  traffic::TrafficConfig config = small_config();
+  config.curve = "constant:rate=20000,seconds=0.5";
+  const traffic::Schedule schedule = traffic::build_schedule(config);
+  std::vector<std::uint64_t> arrivals;
+  for (const traffic::Request& req : schedule.requests) {
+    arrivals.push_back(req.arrival_ns());
+  }
+  ASSERT_GT(arrivals.size(), 5000u);
+  const auto expected = [&arrivals](std::uint64_t elapsed) {
+    return static_cast<std::uint64_t>(
+        std::upper_bound(arrivals.begin(), arrivals.end(), elapsed) -
+        arrivals.begin());
+  };
+  const std::uint64_t end = arrivals.back();
+
+  // due_by's hint only moves forward, so each query order starts on a
+  // fresh service.
+  stm::Runtime rt;
+  const auto check = [&](const std::vector<std::uint64_t>& queries) {
+    traffic::KvTrafficWorkload workload(rt, schedule);
+    for (const std::uint64_t elapsed : queries) {
+      ASSERT_EQ(workload.due_by(elapsed), expected(elapsed)) << elapsed;
+    }
+  };
+  // Every arrival exactly, twice, in order: a worker's clock reaching
+  // each request.
+  std::vector<std::uint64_t> exact;
+  for (const std::uint64_t at : arrivals) exact.insert(exact.end(), 2, at);
+  check(exact);
+  // Forward and repeated, then backward from past the end.
+  std::vector<std::uint64_t> sweep;
+  for (std::uint64_t t = 0; t <= end + 10'000; t += 7'919) {
+    sweep.insert(sweep.end(), 2, t);
+  }
+  for (std::uint64_t t = end + 1'000; t > 20'000; t -= 20'011) {
+    sweep.push_back(t);
+  }
+  check(sweep);
+  // Edges, then random jumps either way onto arrivals and their
+  // neighbours.
+  std::vector<std::uint64_t> jumps = {0, end + 1'000'000'000, 0, end, 1};
+  util::Xoshiro256 rng(5);
+  for (int i = 0; i < 4000; ++i) {
+    const std::uint64_t at = arrivals[rng.below(arrivals.size())];
+    jumps.push_back(at - rng.below(2));
+    jumps.push_back(at + rng.below(2));
+    jumps.push_back(rng.below(end + 1'000));
+  }
+  check(jumps);
+
+  // Three clocks at once, each walking the run with jitter either way:
+  // the shared hint races, the answers must not.
+  traffic::KvTrafficWorkload workload(rt, schedule);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 3; ++t) {
+    threads.emplace_back([&, t] {
+      util::Xoshiro256 local(100 + t);
+      for (std::uint64_t clock = 0; clock < end + 100'000;
+           clock += local.below(60'000)) {
+        const std::uint64_t jitter = std::min(clock, local.below(80'000));
+        const std::uint64_t elapsed = clock - jitter;
+        if (workload.due_by(elapsed) != expected(elapsed)) ++mismatches;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(KvService, VerifyCatchesOrderBtreeTampering) {

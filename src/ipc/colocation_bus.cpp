@@ -70,10 +70,22 @@ bool pid_alive(std::int32_t pid) {
 // Shared-memory layout. Everything is process-shared plain data; the atomics
 // must be address-free (lock-free) to be meaningful across address spaces.
 
+// The seqlock moves a SlotPayload as whole 8-byte words, each stored and
+// loaded through std::atomic_ref: a reader racing a publish sees the
+// sequence move, and no plain access ever races.
+static_assert(std::is_trivially_copyable_v<SlotPayload>);
+static_assert(sizeof(SlotPayload) % sizeof(std::uint64_t) == 0 &&
+              alignof(SlotPayload) == alignof(std::uint64_t));
+static_assert(std::atomic_ref<std::uint64_t>::is_always_lock_free &&
+              std::atomic_ref<std::uint64_t>::required_alignment ==
+                  alignof(std::uint64_t));
+constexpr std::size_t kPayloadWords =
+    sizeof(SlotPayload) / sizeof(std::uint64_t);
+
 struct alignas(64) CoLocationBus::Slot {
   std::atomic<std::uint32_t> seq{0};  // seqlock: odd = publish in progress
   std::atomic<std::int32_t> pid{0};   // 0 = free; owner's pid otherwise
-  SlotPayload payload{};
+  std::uint64_t payload[kPayloadWords]{};  // a SlotPayload's bytes
 };
 
 struct alignas(64) CoLocationBus::Header {
@@ -86,7 +98,6 @@ struct alignas(64) CoLocationBus::Header {
 
 static_assert(std::atomic<std::uint32_t>::is_always_lock_free);
 static_assert(std::atomic<std::int32_t>::is_always_lock_free);
-static_assert(std::is_trivially_copyable_v<SlotPayload>);
 
 namespace {
 
@@ -281,11 +292,16 @@ void CoLocationBus::release_slot() {
 
 void CoLocationBus::write_payload(const SlotPayload& payload) {
   Slot& slot = slot_at(slot_);
+  std::uint64_t words[kPayloadWords];
+  std::memcpy(words, &payload, sizeof words);
   const std::uint32_t seq = slot.seq.load(std::memory_order_relaxed);
   slot.seq.store(seq + 1, std::memory_order_release);  // odd: write begins
-  std::atomic_thread_fence(std::memory_order_release);
-  slot.payload = payload;
-  std::atomic_thread_fence(std::memory_order_release);
+  // Each word's release store keeps the odd sequence before it: a reader
+  // that acquires any new word then sees the sequence moved.
+  for (std::size_t i = 0; i < kPayloadWords; ++i) {
+    std::atomic_ref<std::uint64_t>(slot.payload[i])
+        .store(words[i], std::memory_order_release);
+  }
   slot.seq.store(seq + 2, std::memory_order_release);  // even: write done
 }
 
@@ -376,16 +392,20 @@ bool payload_plausible(const SlotPayload& p) noexcept {
   return false;  // label without a terminator
 }
 
-CoLocationBus::ReadResult CoLocationBus::read_payload(const Slot& slot,
+CoLocationBus::ReadResult CoLocationBus::read_payload(Slot& slot,
                                                       SlotPayload& out) const {
   for (int attempt = 0; attempt < kSeqlockReadAttempts; ++attempt) {
     const std::uint32_t before = slot.seq.load(std::memory_order_acquire);
     if (before & 1u) continue;  // publish in progress
-    std::atomic_thread_fence(std::memory_order_acquire);
-    SlotPayload copy = slot.payload;
-    std::atomic_thread_fence(std::memory_order_acquire);
+    std::uint64_t words[kPayloadWords];
+    for (std::size_t i = 0; i < kPayloadWords; ++i) {
+      words[i] = std::atomic_ref<std::uint64_t>(slot.payload[i])
+                     .load(std::memory_order_acquire);
+    }
     const std::uint32_t after = slot.seq.load(std::memory_order_acquire);
     if (before == after) {
+      SlotPayload copy;
+      std::memcpy(&copy, words, sizeof copy);
       // A stable snapshot can still be garbage — shared memory has no
       // write protection between peers. Screen it before trusting it.
       if (!payload_plausible(copy)) {
@@ -406,7 +426,7 @@ CoLocationBus::ReadResult CoLocationBus::read_payload(const Slot& slot,
 // Peer observation.
 
 PeerInfo CoLocationBus::classify(int index) const {
-  const Slot& slot = slot_at(index);
+  Slot& slot = slot_at(index);
   PeerInfo info;
   info.slot = index;
   info.pid = slot.pid.load(std::memory_order_acquire);

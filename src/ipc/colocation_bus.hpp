@@ -12,11 +12,13 @@
 //   * One slot has exactly one writer — the owning process's monitor thread.
 //     Writes use a seqlock (odd sequence = write in progress), so the
 //     10 ms monitor round is never blocked by readers: a publish is two
-//     relaxed-ordered release stores and a payload memcpy, no syscalls.
-//   * Reads never block either: a reader copies the payload and rejects it
-//     if the sequence moved (torn read). Retries are bounded
-//     (kSeqlockReadAttempts); a slot that stays torn is reported as such —
-//     which itself proves the writer is alive and mid-publish.
+//     release stores of the sequence around a word-by-word release copy
+//     of the payload, no syscalls and no fences.
+//   * Reads never block either: a reader copies the payload word by word
+//     (acquire loads) and rejects it if the sequence moved (torn read).
+//     Retries are bounded (kSeqlockReadAttempts); a slot that stays torn
+//     is reported as such — which itself proves the writer is alive and
+//     mid-publish.
 //   * Slot ownership is claimed with a compare-and-swap on the pid word
 //     (0 = free). Acquisition reclaims slots whose owner died (kill(pid, 0)
 //     == ESRCH — covers SIGKILL and launcher restarts) or whose heartbeat
@@ -204,11 +206,12 @@ class CoLocationBus {
 
   Header& header() const noexcept;
   Slot& slot_at(int index) const noexcept;
-  // Copies `slot`'s payload under the seqlock. kTorn = the sequence kept
-  // moving for the bounded retries; kImplausible = a stable snapshot failed
+  // Copies `slot`'s payload under the seqlock (non-const: the word loads go
+  // through std::atomic_ref). kTorn = the sequence kept moving for the
+  // bounded retries; kImplausible = a stable snapshot failed
   // payload_plausible(). Either way `out` must not be trusted.
   enum class ReadResult { kOk, kTorn, kImplausible };
-  ReadResult read_payload(const Slot& slot, SlotPayload& out) const;
+  ReadResult read_payload(Slot& slot, SlotPayload& out) const;
   // Classifies one occupied slot (liveness + staleness).
   PeerInfo classify(int index) const;
   void write_payload(const SlotPayload& payload);

@@ -94,46 +94,4 @@ std::string format_traffic_report(const TrafficConfig& config,
   return out;
 }
 
-std::string format_bench_results(const TrafficConfig& config,
-                                 const std::vector<RunResult>& runs,
-                                 const std::string& git_sha) {
-  char buffer[512];
-  std::string out = "{\n";
-  std::snprintf(buffer, sizeof buffer,
-                "  \"schema\": \"rubic-bench-results/v1\",\n"
-                "  \"suite\": \"traffic:%s\",\n"
-                "  \"reps\": 1,\n"
-                "  \"git_sha\": \"%s\",\n"
-                "  \"results\": [\n",
-                escaped(config.mix).c_str(),
-                escaped(git_sha).c_str());
-  out += buffer;
-
-  const auto emit = [&](const std::string& name, const char* metric,
-                        const char* better, double value, bool last) {
-    std::snprintf(buffer, sizeof buffer,
-                  "    {\"name\": \"%s\", \"metric\": \"%s\", "
-                  "\"better\": \"%s\", \"gate\": false, "
-                  "\"median\": %.6g, \"p95\": %.6g, \"min\": %.6g, "
-                  "\"mean\": %.6g, \"values\": [%.6g]}%s\n",
-                  escaped(name).c_str(), metric, better, value, value,
-                  value, value, value, last ? "" : ",");
-    out += buffer;
-  };
-
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const RunResult& run = runs[i];
-    const PhaseSummary& overall = run.summary.overall;
-    const std::string prefix = "traffic_" + run.policy + "_";
-    const bool last = i + 1 == runs.size();
-    emit(prefix + "p50_us", "us", "lower", overall.p50_us, false);
-    emit(prefix + "p99_us", "us", "lower", overall.p99_us, false);
-    emit(prefix + "p999_us", "us", "lower", overall.p999_us, false);
-    emit(prefix + "slo_attainment", "fraction", "higher",
-         overall.slo_attainment, last);
-  }
-  out += "  ]\n}\n";
-  return out;
-}
-
 }  // namespace rubic::traffic

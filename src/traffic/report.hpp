@@ -1,11 +1,9 @@
-// JSON rendering for traffic runs (tools/rubic_traffic).
-//
-// Two output shapes: the native "rubic-traffic-report/v1" document — config
-// echo plus one entry per controller run with per-phase p50/p99/p999,
-// SLO-attainment fractions and verification status — and a
-// "rubic-bench-results/v1" projection of the same runs so
-// scripts/bench_compare.py and the CI perf gate consume traffic numbers
-// without a second comparison tool.
+// JSON rendering for traffic runs (tools/rubic_traffic): the native
+// "rubic-traffic-report/v1" document — config echo plus one entry per
+// controller run with per-phase p50/p99/p999, SLO-attainment fractions and
+// verification status. The tool's --bench-out projection of the same runs
+// goes through the shared bench-results writer
+// (src/telemetry/bench_results.hpp).
 #pragma once
 
 #include <cstdint>
@@ -35,12 +33,5 @@ struct RunResult {
 
 std::string format_traffic_report(const TrafficConfig& config,
                                   const std::vector<RunResult>& runs);
-
-// Per-run overall p50/p99/p999 latency and SLO attainment as bench-schema
-// results (all gate:false — regression gating picks specific names via the
-// curated baseline, not this file).
-std::string format_bench_results(const TrafficConfig& config,
-                                 const std::vector<RunResult>& runs,
-                                 const std::string& git_sha);
 
 }  // namespace rubic::traffic

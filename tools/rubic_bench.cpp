@@ -2,10 +2,11 @@
 //
 // One binary runs named suites of benchmarks with fixed seeds and emits a
 // schema-versioned JSON result file (median/p95/min/mean over --reps
-// repetitions, plus machine info and the git sha) that
-// scripts/bench_compare.py diffs against a committed baseline
-// (bench/baselines/). The CI perf job runs `--suite ci-fast` and fails the
-// build on a >15% regression of any gated metric.
+// repetitions, plus machine info and the git sha; written by
+// src/telemetry/bench_results.hpp) that scripts/bench_compare.py diffs
+// against a committed baseline (bench/baselines/). The CI perf job runs
+// `--suite ci-fast` and fails the build on a >15% regression of any gated
+// metric.
 //
 // Two kinds of metrics:
 //   * ns/op micro-measurements (gate: true) — stable enough on a shared
@@ -22,10 +23,10 @@
 // Run:  rubic_bench --suite ci-fast --out BENCH_results.json
 //       rubic_bench --list
 //       rubic_bench --suite all --reps 7 --trace-out bench_trace.json
-#include <sys/utsname.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -37,10 +38,11 @@
 #include "src/control/rubic.hpp"
 #include "src/runtime/process.hpp"
 #include "src/stm/stm.hpp"
-#include "src/telemetry/json.hpp"
+#include "src/telemetry/bench_results.hpp"
 #include "src/telemetry/telemetry.hpp"
 #include "src/trace/trace.hpp"
 #include "src/traffic/traffic.hpp"
+#include "src/util/cache_aligned.hpp"
 #include "src/util/cli.hpp"
 #include "src/util/rng.hpp"
 #include "src/workloads/rbset_workload.hpp"
@@ -49,15 +51,8 @@
 
 using namespace rubic;
 using namespace std::chrono;
-using telemetry::jsonutil::escaped;
 
 namespace {
-
-#ifndef RUBIC_BUILD_TYPE
-#define RUBIC_BUILD_TYPE "unknown"
-#endif
-
-constexpr std::string_view kSchema = "rubic-bench-results/v1";
 
 double now_seconds() {
   return duration<double>(steady_clock::now().time_since_epoch()).count();
@@ -160,6 +155,46 @@ double bench_stm_write_1_ns() {
   return (now_seconds() - start) * 1e9 / static_cast<double>(kOps);
 }
 
+// The read set grown to 16 words: the per-read cost beyond the 1-word
+// transaction's fixed begin/commit overhead.
+double bench_stm_read_only_16_ns() {
+  constexpr std::uint64_t kOps = 1 << 18;
+  std::vector<stm::TVar<std::int64_t>> vars(16);
+  auto& ctx = bench_ctx();
+  std::int64_t sum = 0;
+  const double start = now_seconds();
+  for (std::uint64_t i = 0; i < kOps; ++i) {
+    sum += stm::atomically(ctx, [&](stm::Txn& tx) {
+      std::int64_t total = 0;
+      for (auto& v : vars) total += v.read(tx);
+      return total;
+    });
+  }
+  const double elapsed = now_seconds() - start;
+  if (sum == -1) std::abort();  // defeat dead-code elimination
+  return elapsed * 1e9 / static_cast<double>(kOps);
+}
+
+// Section 3.1's per-worker task counter: its single writer bumps it with a
+// relaxed load and store; kRmw times the locked fetch_add it avoids.
+template <bool kRmw>
+double bench_counter_ns() {
+  constexpr std::uint64_t kOps = 1 << 24;
+  std::atomic<std::uint64_t> counter{0};
+  const double start = now_seconds();
+  for (std::uint64_t i = 0; i < kOps; ++i) {
+    if constexpr (kRmw) {
+      counter.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      counter.store(counter.load(std::memory_order_relaxed) + 1,
+                    std::memory_order_relaxed);
+    }
+  }
+  const double elapsed = now_seconds() - start;
+  if (counter.load() != kOps) std::abort();
+  return elapsed * 1e9 / static_cast<double>(kOps);
+}
+
 tds::RbTree& bench_tree() {
   static tds::RbTree tree;
   static bool populated = [] {
@@ -187,6 +222,59 @@ double bench_stm_rbtree_lookup_ns() {
   }
   const double elapsed = now_seconds() - start;
   if (found && key == -1) std::abort();
+  return elapsed * 1e9 / static_cast<double>(kOps);
+}
+
+// --- malleable-runtime hot paths (micro_runtime_overhead suite) ---
+
+// The worker's pool-gate check (Alg. 1 line 8): one acquire load of the
+// level word and a compare, the whole syscall-free task-acquisition path.
+double bench_pool_gate_check_ns() {
+  constexpr std::uint64_t kOps = 1 << 24;
+  alignas(util::kCacheLineSize) std::atomic<int> level{4};
+  const int tid = 2;
+  std::uint64_t active = 0;
+  const double start = now_seconds();
+  for (std::uint64_t i = 0; i < kOps; ++i) {
+    active += tid < level.load(std::memory_order_acquire) ? 1 : 0;
+  }
+  const double elapsed = now_seconds() - start;
+  if (active != kOps) std::abort();
+  return elapsed * 1e9 / static_cast<double>(kOps);
+}
+
+// The monitor's throughput sample: summing 64 cache-line-padded per-worker
+// counters, once per monitor period.
+double bench_monitor_sample_64_ns() {
+  constexpr std::uint64_t kOps = 1 << 18;
+  std::vector<util::CacheAligned<std::atomic<std::uint64_t>>> counters(64);
+  for (auto& counter : counters) counter.value.store(123);
+  std::uint64_t total = 0;
+  const double start = now_seconds();
+  for (std::uint64_t i = 0; i < kOps; ++i) {
+    for (auto& counter : counters) {
+      total += counter.value.load(std::memory_order_relaxed);
+    }
+  }
+  const double elapsed = now_seconds() - start;
+  if (total != kOps * 64 * 123) std::abort();
+  return elapsed * 1e9 / static_cast<double>(kOps);
+}
+
+// One full RUBIC decision round on a steadily rising throughput (x1.001
+// per round; 2^19 rounds stay finite, about 1e227).
+double bench_rubic_on_sample_ns() {
+  constexpr std::uint64_t kOps = 1 << 19;
+  control::RubicController controller(control::LevelBounds{1, 128});
+  double throughput = 1000.0;
+  std::int64_t levels = 0;
+  const double start = now_seconds();
+  for (std::uint64_t i = 0; i < kOps; ++i) {
+    throughput *= 1.001;
+    levels += controller.on_sample(throughput);
+  }
+  const double elapsed = now_seconds() - start;
+  if (levels == -1) std::abort();
   return elapsed * 1e9 / static_cast<double>(kOps);
 }
 
@@ -655,27 +743,6 @@ struct BenchDef {
   std::function<double()> run;
 };
 
-struct BenchResult {
-  const BenchDef* def = nullptr;
-  std::vector<double> values;  // one per rep
-  double median = 0.0, p95 = 0.0, min = 0.0, mean = 0.0;
-};
-
-void summarize(BenchResult& result) {
-  std::vector<double> sorted = result.values;
-  std::sort(sorted.begin(), sorted.end());
-  const std::size_t n = sorted.size();
-  result.min = sorted.front();
-  result.median =
-      n % 2 == 1 ? sorted[n / 2] : 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]);
-  std::size_t p95_index =
-      static_cast<std::size_t>(0.95 * static_cast<double>(n) + 0.5);
-  result.p95 = sorted[std::min(p95_index, n - 1)];
-  double sum = 0.0;
-  for (double v : sorted) sum += v;
-  result.mean = sum / static_cast<double>(n);
-}
-
 std::vector<BenchDef> make_benches(milliseconds scenario_ms) {
   return {
       {"trace_emit_disarmed_ns", "ns_per_op", "lower", true, false,
@@ -688,6 +755,20 @@ std::vector<BenchDef> make_benches(milliseconds scenario_ms) {
        bench_stm_write_1_ns},
       {"stm_rbtree_lookup_ns", "ns_per_op", "lower", true, false,
        bench_stm_rbtree_lookup_ns},
+      // Section 4.5's "negligible overhead" primitives, recorded for
+      // EXPERIMENTS.md and never gated.
+      {"stm_read_only_16_ns", "ns_per_op", "lower", false, false,
+       bench_stm_read_only_16_ns},
+      {"counter_single_writer_ns", "ns_per_op", "lower", false, false,
+       bench_counter_ns<false>},
+      {"counter_atomic_rmw_ns", "ns_per_op", "lower", false, false,
+       bench_counter_ns<true>},
+      {"pool_gate_check_ns", "ns_per_op", "lower", false, false,
+       bench_pool_gate_check_ns},
+      {"monitor_sample_64_ns", "ns_per_op", "lower", false, false,
+       bench_monitor_sample_64_ns},
+      {"rubic_on_sample_ns", "ns_per_op", "lower", false, false,
+       bench_rubic_on_sample_ns},
       {"runtime_overhead_disarmed_pct", "percent", "lower", false, false,
        bench_runtime_overhead_disarmed_pct},
       {"telemetry_count_disarmed_ns", "ns_per_op", "lower", true, false,
@@ -781,11 +862,15 @@ std::vector<BenchDef> make_benches(milliseconds scenario_ms) {
 // suite → bench-name membership. "all" means every bench.
 std::vector<std::string> suite_members(const std::string& suite) {
   if (suite == "micro_stm_overhead") {
-    return {"stm_read_only_1_ns", "stm_write_1_ns", "stm_rbtree_lookup_ns"};
+    return {"stm_read_only_1_ns",       "stm_write_1_ns",
+            "stm_rbtree_lookup_ns",     "stm_read_only_16_ns",
+            "counter_single_writer_ns", "counter_atomic_rmw_ns"};
   }
   if (suite == "micro_runtime_overhead") {
     return {"trace_emit_disarmed_ns", "trace_emit_armed_ns",
-            "runtime_overhead_disarmed_pct", "tuned_process_tasks_per_s"};
+            "runtime_overhead_disarmed_pct", "pool_gate_check_ns",
+            "monitor_sample_64_ns", "rubic_on_sample_ns",
+            "tuned_process_tasks_per_s"};
   }
   if (suite == "colocate") {
     return {"colocate_pair_tasks_per_s"};
@@ -844,92 +929,6 @@ std::vector<std::string> suite_members(const std::string& suite) {
   return {};
 }
 
-// Best-effort git sha: --git-sha flag beats $GITHUB_SHA beats reading
-// .git/HEAD (searched upward a few levels, since the binary usually runs
-// from build/).
-std::string read_first_line(const std::string& path) {
-  std::string line;
-  if (std::FILE* f = std::fopen(path.c_str(), "r")) {
-    char buffer[256] = {0};
-    if (std::fgets(buffer, sizeof buffer, f) != nullptr) {
-      line = buffer;
-      while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
-        line.pop_back();
-      }
-    }
-    std::fclose(f);
-  }
-  return line;
-}
-
-std::string discover_git_sha() {
-  if (const char* env = std::getenv("GITHUB_SHA"); env != nullptr && *env) {
-    return env;
-  }
-  std::string prefix;
-  for (int depth = 0; depth < 4; ++depth) {
-    const std::string head = read_first_line(prefix + ".git/HEAD");
-    if (!head.empty()) {
-      if (head.rfind("ref: ", 0) == 0) {
-        const std::string sha =
-            read_first_line(prefix + ".git/" + head.substr(5));
-        return sha.empty() ? "unknown" : sha;
-      }
-      return head;
-    }
-    prefix += "../";
-  }
-  return "unknown";
-}
-
-std::string format_results(const std::string& suite, int reps,
-                           const std::string& git_sha,
-                           const std::vector<BenchResult>& results) {
-  utsname uts{};
-  uname(&uts);
-  char buffer[512];
-  std::string out = "{\n";
-  std::snprintf(buffer, sizeof buffer,
-                "  \"schema\": \"%.*s\",\n"
-                "  \"suite\": \"%s\",\n"
-                "  \"reps\": %d,\n"
-                "  \"git_sha\": \"%s\",\n"
-                "  \"machine\": {\"nproc\": %u, \"system\": \"%s\", "
-                "\"release\": \"%s\", \"arch\": \"%s\", "
-                "\"build_type\": \"%s\"},\n"
-                "  \"results\": [\n",
-                static_cast<int>(kSchema.size()), kSchema.data(),
-                escaped(suite).c_str(), reps,
-                escaped(git_sha).c_str(),
-                std::thread::hardware_concurrency(),
-                escaped(uts.sysname).c_str(),
-                escaped(uts.release).c_str(),
-                escaped(uts.machine).c_str(),
-                escaped(RUBIC_BUILD_TYPE).c_str());
-  out += buffer;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const BenchResult& r = results[i];
-    std::snprintf(buffer, sizeof buffer,
-                  "    {\"name\": \"%s\", \"metric\": \"%s\", "
-                  "\"better\": \"%s\", \"gate\": %s, "
-                  "\"median\": %.6g, \"p95\": %.6g, \"min\": %.6g, "
-                  "\"mean\": %.6g, \"values\": [",
-                  r.def->name.c_str(), r.def->metric.c_str(),
-                  r.def->better.c_str(), r.def->gate ? "true" : "false",
-                  r.median, r.p95, r.min, r.mean);
-    out += buffer;
-    for (std::size_t v = 0; v < r.values.size(); ++v) {
-      std::snprintf(buffer, sizeof buffer, "%s%.6g", v ? ", " : "",
-                    r.values[v]);
-      out += buffer;
-    }
-    out += "]}";
-    out += i + 1 < results.size() ? ",\n" : "\n";
-  }
-  out += "  ]\n}\n";
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -943,7 +942,7 @@ int main(int argc, char** argv) {
     const std::string out_path =
         cli.get_string("out", "BENCH_results.json");
     const std::string trace_out = cli.get_string("trace-out", "");
-    std::string git_sha = cli.get_string("git-sha", "");
+    const std::string git_sha_flag = cli.get_string("git-sha", "");
     cli.check_unknown();
 
     auto benches = make_benches(seconds(scenario_seconds));
@@ -987,24 +986,25 @@ int main(int argc, char** argv) {
     const bool tracing = !trace_out.empty();
 
     std::printf("rubic_bench suite=%s reps=%d\n", suite.c_str(), reps);
-    std::vector<BenchResult> results;
+    std::vector<telemetry::BenchCell> cells;
     for (const BenchDef* def : selected) {
-      BenchResult result;
-      result.def = def;
+      telemetry::BenchCell cell{def->name, def->metric, def->better, def->gate,
+                                {}};
       for (int rep = 0; rep < reps; ++rep) {
         if (tracing && def->scenario) trace::arm(scenario_tracer);
-        result.values.push_back(def->run());
+        cell.values.push_back(def->run());
         if (tracing && def->scenario) trace::disarm();
       }
-      summarize(result);
+      const telemetry::BenchSummary s = telemetry::summarize_reps(cell.values);
       std::printf("  %-32s median=%.4g p95=%.4g min=%.4g %s\n",
-                  def->name.c_str(), result.median, result.p95, result.min,
+                  def->name.c_str(), s.median, s.p95, s.min,
                   def->metric.c_str());
-      results.push_back(std::move(result));
+      cells.push_back(std::move(cell));
     }
 
-    if (git_sha.empty()) git_sha = discover_git_sha();
-    const std::string report = format_results(suite, reps, git_sha, results);
+    const std::string git_sha = telemetry::resolve_git_sha(git_sha_flag);
+    const std::string report =
+        telemetry::format_bench_results(suite, reps, git_sha, cells);
     if (!trace::write_file(out_path, report)) {
       std::fprintf(stderr, "rubic_bench: failed to write %s\n",
                    out_path.c_str());

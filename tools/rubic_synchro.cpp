@@ -10,8 +10,9 @@
 // against its own invariants after every repetition — a sweep that
 // corrupts a structure fails loudly instead of reporting throughput.
 //
-// Results are emitted as `rubic-bench-results/v1` JSON — the same schema
-// rubic_bench writes — so scripts/bench_compare.py trend-diffs and
+// Results are written by the shared bench-results writer
+// (src/telemetry/bench_results.hpp), the one rubic_bench uses, so
+// scripts/bench_compare.py trend-diffs and
 // scripts/check_backend_grid.py --synchro completeness checks work
 // unchanged. Cell names are
 //   synchro_<structure>_<backend>_u<update%>_r<keyrange>_t<threads>_<policy>
@@ -23,15 +24,12 @@
 //       rubic_synchro --structures skiplist,btree --backends orec_swiss
 //                     --updates 0,20,100 --threads 1,4 --cell-ms 500
 //       rubic_synchro --list-structures / --list-backends / --list-controllers
-#include <sys/utsname.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/control/factory.hpp"
@@ -39,7 +37,7 @@
 #include "src/runtime/process.hpp"
 #include "src/stm/stm.hpp"
 #include "src/tds/registry.hpp"
-#include "src/telemetry/json.hpp"
+#include "src/telemetry/bench_results.hpp"
 #include "src/trace/trace.hpp"
 #include "src/util/cli.hpp"
 #include "src/util/listing.hpp"
@@ -47,11 +45,8 @@
 
 using namespace rubic;
 using namespace std::chrono;
-using telemetry::jsonutil::escaped;
 
 namespace {
-
-constexpr std::string_view kSchema = "rubic-bench-results/v1";
 
 struct Options {
   std::vector<std::string> structures;   // default: every known structure
@@ -113,28 +108,6 @@ std::vector<std::string_view> controller_names() {
     names.push_back(policy);
   }
   return names;
-}
-
-// One grid cell's summary over --reps repetitions.
-struct CellResult {
-  std::string name;
-  std::vector<double> values;  // tasks/s, one per rep
-  double median = 0.0, p95 = 0.0, min = 0.0, mean = 0.0;
-};
-
-void summarize(CellResult& cell) {
-  std::vector<double> sorted = cell.values;
-  std::sort(sorted.begin(), sorted.end());
-  const std::size_t n = sorted.size();
-  cell.min = sorted.front();
-  cell.median =
-      n % 2 == 1 ? sorted[n / 2] : 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]);
-  const auto p95_index =
-      static_cast<std::size_t>(0.95 * static_cast<double>(n) + 0.5);
-  cell.p95 = sorted[std::min(p95_index, n - 1)];
-  double sum = 0.0;
-  for (double v : sorted) sum += v;
-  cell.mean = sum / static_cast<double>(n);
 }
 
 // Policy names may carry ':' (adaptive:rubic); keep cell names flat.
@@ -202,83 +175,6 @@ double run_cell_once(const Options& opt, const std::string& structure,
   return report.tasks_per_second;
 }
 
-std::string read_first_line(const std::string& path) {
-  std::string line;
-  if (std::FILE* f = std::fopen(path.c_str(), "r")) {
-    char buffer[256] = {0};
-    if (std::fgets(buffer, sizeof buffer, f) != nullptr) {
-      line = buffer;
-      while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
-        line.pop_back();
-      }
-    }
-    std::fclose(f);
-  }
-  return line;
-}
-
-std::string discover_git_sha() {
-  if (const char* env = std::getenv("GITHUB_SHA"); env != nullptr && *env) {
-    return env;
-  }
-  std::string prefix;
-  for (int depth = 0; depth < 4; ++depth) {
-    const std::string head = read_first_line(prefix + ".git/HEAD");
-    if (!head.empty()) {
-      if (head.rfind("ref: ", 0) == 0) {
-        const std::string sha =
-            read_first_line(prefix + ".git/" + head.substr(5));
-        return sha.empty() ? "unknown" : sha;
-      }
-      return head;
-    }
-    prefix += "../";
-  }
-  return "unknown";
-}
-
-std::string format_results(int reps, const std::string& git_sha,
-                           const std::vector<CellResult>& results) {
-  utsname uts{};
-  uname(&uts);
-  char buffer[512];
-  std::string out = "{\n";
-  std::snprintf(buffer, sizeof buffer,
-                "  \"schema\": \"%.*s\",\n"
-                "  \"suite\": \"synchro\",\n"
-                "  \"reps\": %d,\n"
-                "  \"git_sha\": \"%s\",\n"
-                "  \"machine\": {\"nproc\": %u, \"system\": \"%s\", "
-                "\"release\": \"%s\", \"arch\": \"%s\"},\n"
-                "  \"results\": [\n",
-                static_cast<int>(kSchema.size()), kSchema.data(), reps,
-                escaped(git_sha).c_str(),
-                std::thread::hardware_concurrency(),
-                escaped(uts.sysname).c_str(),
-                escaped(uts.release).c_str(),
-                escaped(uts.machine).c_str());
-  out += buffer;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const CellResult& r = results[i];
-    std::snprintf(buffer, sizeof buffer,
-                  "    {\"name\": \"%s\", \"metric\": \"tasks_per_s\", "
-                  "\"better\": \"higher\", \"gate\": false, "
-                  "\"median\": %.6g, \"p95\": %.6g, \"min\": %.6g, "
-                  "\"mean\": %.6g, \"values\": [",
-                  r.name.c_str(), r.median, r.p95, r.min, r.mean);
-    out += buffer;
-    for (std::size_t v = 0; v < r.values.size(); ++v) {
-      std::snprintf(buffer, sizeof buffer, "%s%.6g", v ? ", " : "",
-                    r.values[v]);
-      out += buffer;
-    }
-    out += "]}";
-    out += i + 1 < results.size() ? ",\n" : "\n";
-  }
-  out += "  ]\n}\n";
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -300,7 +196,7 @@ int main(int argc, char** argv) {
     opt.scan_pct = static_cast<int>(cli.get_int("scan-pct", 5));
     opt.seed = static_cast<std::uint64_t>(cli.get_int("seed", 0x5c2a11ceLL));
     opt.out = cli.get_string("out", "synchro_grid.json");
-    std::string git_sha = cli.get_string("git-sha", "");
+    const std::string git_sha_flag = cli.get_string("git-sha", "");
     cli.check_unknown();
 
     if (list_structures) util::print_name_list(tds::known_structures());
@@ -389,7 +285,7 @@ int main(int argc, char** argv) {
     std::printf("rubic_synchro: %zu cells x %d reps x %d ms\n", total,
                 opt.reps, opt.cell_ms);
 
-    std::vector<CellResult> results;
+    std::vector<telemetry::BenchCell> results;
     std::size_t done = 0;
     for (const std::string& structure : opt.structures) {
       for (const stm::BackendKind backend : backends) {
@@ -398,18 +294,19 @@ int main(int argc, char** argv) {
           for (const std::int64_t range : opt.ranges) {
             for (const int threads : opt.threads) {
               for (const std::string& controller : opt.controllers) {
-                CellResult cell;
-                cell.name = cell_name(structure, backend_str, update, range,
-                                      threads, controller);
+                telemetry::BenchCell cell{
+                    cell_name(structure, backend_str, update, range, threads,
+                              controller),
+                    "tasks_per_s", "higher", false, {}};
                 for (int rep = 0; rep < opt.reps; ++rep) {
                   cell.values.push_back(run_cell_once(opt, structure, backend,
                                                       update, range, threads,
                                                       controller));
                 }
-                summarize(cell);
                 ++done;
                 std::printf("  [%zu/%zu] %-56s median=%.4g tasks/s\n", done,
-                            total, cell.name.c_str(), cell.median);
+                            total, cell.name.c_str(),
+                            telemetry::summarize_reps(cell.values).median);
                 std::fflush(stdout);
                 results.push_back(std::move(cell));
               }
@@ -419,8 +316,9 @@ int main(int argc, char** argv) {
       }
     }
 
-    if (git_sha.empty()) git_sha = discover_git_sha();
-    const std::string report = format_results(opt.reps, git_sha, results);
+    const std::string git_sha = telemetry::resolve_git_sha(git_sha_flag);
+    const std::string report =
+        telemetry::format_bench_results("synchro", opt.reps, git_sha, results);
     if (!trace::write_file(opt.out, report)) {
       std::fprintf(stderr, "rubic_synchro: failed to write %s\n",
                    opt.out.c_str());

@@ -37,10 +37,12 @@
 #include "src/fault/fault.hpp"
 #include "src/runtime/process.hpp"
 #include "src/stm/profiler.hpp"
+#include "src/telemetry/bench_results.hpp"
 #include "src/telemetry/http_server.hpp"
 #include "src/telemetry/json.hpp"
 #include "src/telemetry/snapshot_signal.hpp"
 #include "src/telemetry/telemetry.hpp"
+#include "src/trace/trace.hpp"
 #include "src/traffic/traffic.hpp"
 #include "src/util/cli.hpp"
 #include "src/util/listing.hpp"
@@ -102,11 +104,25 @@ std::unique_ptr<control::Controller> make_policy(const std::string& policy,
   return control::make_controller(policy, config);
 }
 
-bool write_file(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  return std::fclose(f) == 0 && ok;
+// --bench-out: each run's overall p50/p99/p999 latency and SLO attainment
+// as one-value bench cells (all gate:false — regression gating picks
+// specific names via the curated baseline, not this file).
+std::vector<telemetry::BenchCell> bench_cells(
+    const std::vector<traffic::RunResult>& runs) {
+  std::vector<telemetry::BenchCell> cells;
+  for (const traffic::RunResult& run : runs) {
+    const traffic::PhaseSummary& overall = run.summary.overall;
+    const std::string prefix = "traffic_" + run.policy + "_";
+    cells.push_back(
+        {prefix + "p50_us", "us", "lower", false, {overall.p50_us}});
+    cells.push_back(
+        {prefix + "p99_us", "us", "lower", false, {overall.p99_us}});
+    cells.push_back(
+        {prefix + "p999_us", "us", "lower", false, {overall.p999_us}});
+    cells.push_back({prefix + "slo_attainment", "fraction", "higher", false,
+                     {overall.slo_attainment}});
+  }
+  return cells;
 }
 
 // The /status body: the monitor's latest round (published under
@@ -162,9 +178,9 @@ class SignalWatcher {
           "rubic_traffic." + std::to_string(static_cast<int>(getpid()));
       while (!stop_.load(std::memory_order_acquire)) {
         if (telemetry::consume_snapshot_signal()) {
-          write_file(base + ".signal.telemetry.json",
+          trace::write_file(base + ".signal.telemetry.json",
                      telemetry::to_json(telemetry::registry().snapshot()));
-          write_file(base + ".signal.contention.json",
+          trace::write_file(base + ".signal.contention.json",
                      stm::profiler::to_json(stm::profiler::snapshot()));
           std::fprintf(stderr,
                        "rubic_traffic: SIGUSR1 snapshot -> "
@@ -349,7 +365,7 @@ int main(int argc, char** argv) {
     opt.contention_out = cli.get_string("contention-out", "");
     opt.profile = cli.get_bool("profile") || !opt.contention_out.empty() ||
                   !opt.listen.empty();
-    const std::string git_sha = cli.get_string("git-sha", "");
+    const std::string git_sha_flag = cli.get_string("git-sha", "");
     cli.check_unknown();
 
     if (opt.policies.empty()) {
@@ -415,20 +431,23 @@ int main(int argc, char** argv) {
     const std::string report = traffic::format_traffic_report(config, runs);
     if (opt.json_path.empty()) {
       std::fputs(report.c_str(), stdout);
-    } else if (!write_file(opt.json_path, report)) {
+    } else if (!trace::write_file(opt.json_path, report)) {
       std::fprintf(stderr, "rubic_traffic: failed to write %s\n",
                    opt.json_path.c_str());
       return 1;
     }
     if (!opt.bench_out.empty() &&
-        !write_file(opt.bench_out,
-                    traffic::format_bench_results(config, runs, git_sha))) {
+        !trace::write_file(opt.bench_out,
+                           telemetry::format_bench_results(
+                               "traffic:" + config.mix, 1,
+                               telemetry::resolve_git_sha(git_sha_flag),
+                               bench_cells(runs)))) {
       std::fprintf(stderr, "rubic_traffic: failed to write %s\n",
                    opt.bench_out.c_str());
       return 1;
     }
     if (!opt.contention_out.empty() &&
-        !write_file(opt.contention_out,
+        !trace::write_file(opt.contention_out,
                     stm::profiler::to_json(stm::profiler::snapshot()))) {
       std::fprintf(stderr, "rubic_traffic: failed to write %s\n",
                    opt.contention_out.c_str());

@@ -97,6 +97,8 @@ void MalleablePool::set_level(int new_level) {
   for (int tid = old_level; tid < new_level; ++tid) {
     workers_[static_cast<std::size_t>(tid)]->semaphore.release();
   }
+  // Workers leaving it may be blocked inside run_task; send them to the gate.
+  if (new_level < old_level) workload_.wake_waiters();
   if (resize_begin_ns != 0) [[unlikely]] {
     telemetry::Registry& reg = telemetry::registry();
     static telemetry::Gauge& level_gauge =
@@ -112,6 +114,7 @@ void MalleablePool::set_level(int new_level) {
 
 void MalleablePool::run_quiesced(const std::function<void()>& fn) {
   paused_.store(true, std::memory_order_seq_cst);
+  workload_.wake_waiters();
   // Wait for in-flight tasks to drain, one worker at a time. Parked workers
   // hold no task; active ones finish their current run_task and then spin
   // at the fence, so a flag seen clear stays clear until paused_ drops.
@@ -148,6 +151,7 @@ std::vector<std::uint64_t> MalleablePool::per_worker_completed() const {
 
 void MalleablePool::stop() {
   if (stopping_.exchange(true, std::memory_order_acq_rel)) return;
+  workload_.wake_waiters();
   // Unblock every parked worker so it can observe the stop flag.
   for (auto& worker : workers_) worker->semaphore.release();
   for (auto& worker : workers_) {

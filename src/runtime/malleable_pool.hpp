@@ -55,7 +55,9 @@ class MalleablePool {
   // flight anywhere in the pool), run `fn`, resume. This is the hook for
   // online STM backend switches — `Runtime::try_set_backend` requires that
   // no context be mid-transaction, which holds exactly when all workers are
-  // outside `run_task`. Workers parked on their semaphore count as paused.
+  // outside `run_task`. Workers parked on their semaphore count as paused;
+  // workers blocked inside `run_task` are released through
+  // `Workload::wake_waiters`, as on a level drop and at stop().
   // `fn` must not enqueue work on this pool (it runs with workers fenced).
   void run_quiesced(const std::function<void()>& fn);
 

@@ -2,8 +2,17 @@
 
 #include <algorithm>
 #include <array>
+#include <climits>
+#include <ctime>
 #include <thread>
 #include <unordered_map>
+
+#if defined(__linux__)
+#include <linux/futex.h>
+#include <sys/prctl.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
 
 #include "src/fault/fault.hpp"
 #include "src/stm/profiler.hpp"
@@ -16,6 +25,59 @@ using stm::Txn;
 
 constexpr std::uint64_t kStockTouchesPerOrder = 2;
 constexpr std::int64_t kInitialStock = 1'000'000;
+
+// Arrival wait (docs/traffic.md "Arrival wait"). The timer holder sleeps
+// toward the head request's arrival rounded up to a multiple of this window
+// on the schedule's clock, so all arrivals inside one window share a wake.
+constexpr std::uint64_t kArrivalWindowNs = 20'000;
+// A follower re-checks on its own at most this long after the head request
+// became due: the bound on the stall when the timer holder is descheduled
+// or has parked at the pool gate.
+constexpr std::chrono::microseconds kFollowerWatchdog{100};
+// Longest single sleep, so halt() and wake_waiters() are seen within it.
+constexpr std::chrono::milliseconds kSleepChunk{1};
+// claim_due()'s answer when wake_waiters() released the caller.
+constexpr std::uint64_t kReleased = UINT64_MAX;
+
+static_assert(sizeof(std::atomic<std::uint32_t>) == sizeof(std::uint32_t) &&
+              std::atomic<std::uint32_t>::is_always_lock_free);
+
+// Blocks while `word` still holds `seen`, at most `timeout`.
+void futex_wait(std::atomic<std::uint32_t>& word, std::uint32_t seen,
+                std::chrono::nanoseconds timeout) {
+#if defined(__linux__)
+  const timespec ts{static_cast<time_t>(timeout.count() / 1'000'000'000),
+                    static_cast<long>(timeout.count() % 1'000'000'000)};
+  syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&word),
+          FUTEX_WAIT_PRIVATE, seen, &ts, nullptr, 0);
+#else
+  if (word.load(std::memory_order_acquire) == seen) {
+    std::this_thread::sleep_for(timeout);
+  }
+#endif
+}
+
+void futex_wake(std::atomic<std::uint32_t>& word, int count) {
+#if defined(__linux__)
+  syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&word),
+          FUTEX_WAKE_PRIVATE, count, nullptr, nullptr, 0);
+#else
+  (void)word;
+  (void)count;
+#endif
+}
+
+// Linux stretches every timed sleep by the thread's timer slack, 50 µs by
+// default: more than the window. Set it to 1 ns, once per thread.
+void use_fine_timer_slack() {
+#if defined(__linux__)
+  thread_local bool set = false;
+  if (!set) {
+    set = true;
+    prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+  }
+#endif
+}
 
 std::int64_t client_count_key(std::uint32_t client) noexcept {
   return kClientBase + 2 * static_cast<std::int64_t>(client);
@@ -158,19 +220,114 @@ std::uint64_t KvTrafficWorkload::backlog_now() const {
 
 void KvTrafficWorkload::wait_until(std::uint64_t arrival_ns) const {
   const auto target = start_ + std::chrono::nanoseconds(arrival_ns);
-  // Chunked sleeps so halt() and pool shrink/stop stay responsive even for
-  // arrivals far in the future.
-  constexpr auto kChunk = std::chrono::milliseconds(1);
   while (!halted_.load(std::memory_order_acquire)) {
     const auto now = std::chrono::steady_clock::now();
     if (now >= target) return;
     const auto remain = target - now;
-    std::this_thread::sleep_for(remain < kChunk ? remain : kChunk);
+    std::this_thread::sleep_for(remain < kSleepChunk ? remain : kSleepChunk);
   }
 }
 
+void KvTrafficWorkload::wake_followers(int count) noexcept {
+  wake_seq_.fetch_add(1, std::memory_order_seq_cst);
+  if (sleepers_.load(std::memory_order_seq_cst) != 0) {
+    futex_wake(wake_seq_, count);
+  }
+}
+
+void KvTrafficWorkload::halt() noexcept {
+  halted_.store(true, std::memory_order_seq_cst);
+  wake_followers(INT_MAX);
+}
+
+void KvTrafficWorkload::wake_waiters() noexcept {
+  release_epoch_.fetch_add(1, std::memory_order_seq_cst);
+  wake_followers(INT_MAX);
+}
+
+std::uint64_t KvTrafficWorkload::claim_due() {
+  const std::uint32_t epoch = release_epoch_.load(std::memory_order_acquire);
+  use_fine_timer_slack();
+  ensure_clock_started();
+  const std::vector<Request>& reqs = schedule_.requests;
+  for (;;) {
+    const std::uint64_t head = next_.load(std::memory_order_seq_cst);
+    const std::uint64_t now = elapsed_ns();
+    if (head >= reqs.size() || reqs[head].arrival_ns() <= now ||
+        halted_.load(std::memory_order_acquire)) {
+      const std::uint64_t idx = next_.fetch_add(1, std::memory_order_seq_cst);
+      if (idx + 1 == reqs.size()) {
+        wake_followers(INT_MAX);  // the schedule is out: let them leave
+      } else if (idx + 1 < reqs.size() &&
+                 sleepers_.load(std::memory_order_seq_cst) != 0 &&
+                 reqs[idx + 1].arrival_ns() + kArrivalWindowNs < now) {
+        wake_followers(1);  // more than a window behind: pull one in
+      }
+      // A racing claimer can leave this one a request that is not due yet.
+      if (idx < reqs.size() && reqs[idx].arrival_ns() > now) {
+        wait_until(reqs[idx].arrival_ns());
+      }
+      return idx;
+    }
+    if (release_epoch_.load(std::memory_order_acquire) != epoch) {
+      return kReleased;
+    }
+    if (!timer_held_.load(std::memory_order_relaxed) &&
+        !timer_held_.exchange(true, std::memory_order_acquire)) {
+      hold_timer(epoch);
+    } else {
+      follow(epoch);
+    }
+  }
+}
+
+void KvTrafficWorkload::hold_timer(std::uint32_t epoch) {
+  const std::vector<Request>& reqs = schedule_.requests;
+  for (;;) {
+    const std::uint64_t head = next_.load(std::memory_order_relaxed);
+    if (head >= reqs.size() || halted_.load(std::memory_order_acquire) ||
+        release_epoch_.load(std::memory_order_acquire) != epoch) {
+      break;
+    }
+    const std::uint64_t wake_ns =
+        (reqs[head].arrival_ns() + kArrivalWindowNs - 1) / kArrivalWindowNs *
+        kArrivalWindowNs;
+    const auto remain = start_ + std::chrono::nanoseconds(wake_ns) -
+                        std::chrono::steady_clock::now();
+    if (remain <= std::chrono::steady_clock::duration::zero()) break;
+    std::this_thread::sleep_for(remain < kSleepChunk ? remain : kSleepChunk);
+  }
+  timer_held_.store(false, std::memory_order_release);
+}
+
+void KvTrafficWorkload::follow(std::uint32_t epoch) {
+  const std::vector<Request>& reqs = schedule_.requests;
+  // Read the word before re-checking: a wake that lands after the checks
+  // changes it, so the futex call returns at once instead of sleeping.
+  const std::uint32_t seen = wake_seq_.load(std::memory_order_seq_cst);
+  sleepers_.fetch_add(1, std::memory_order_seq_cst);
+  // A claimer that read sleepers_ as 0 advanced next_ before this load, so
+  // a request it would have pulled a follower in for is due here.
+  const std::uint64_t head = next_.load(std::memory_order_seq_cst);
+  const std::uint64_t now = elapsed_ns();
+  if (head < reqs.size() && reqs[head].arrival_ns() > now &&
+      timer_held_.load(std::memory_order_relaxed) &&
+      !halted_.load(std::memory_order_acquire) &&
+      release_epoch_.load(std::memory_order_acquire) == epoch) {
+    const std::chrono::nanoseconds until_due(reqs[head].arrival_ns() - now);
+    futex_wait(wake_seq_, seen,
+               std::min<std::chrono::nanoseconds>(until_due, kSleepChunk) +
+                   kFollowerWatchdog);
+  }
+  sleepers_.fetch_sub(1, std::memory_order_relaxed);
+}
+
 void KvTrafficWorkload::run_task(stm::TxnDesc& ctx, util::Xoshiro256&) {
-  const std::uint64_t idx = next_.fetch_add(1, std::memory_order_relaxed);
+  // A halted drain claims with one fetch_add and waits for nothing.
+  const std::uint64_t idx = halted_.load(std::memory_order_acquire)
+                                ? next_.fetch_add(1, std::memory_order_relaxed)
+                                : claim_due();
+  if (idx == kReleased) return;
   if (idx >= schedule_.requests.size()) {
     // Surplus worker past the end of the schedule: park briefly; done()
     // flips once the in-flight tail finishes and the pool stops pulling.
@@ -179,7 +336,6 @@ void KvTrafficWorkload::run_task(stm::TxnDesc& ctx, util::Xoshiro256&) {
   }
   const Request& req = schedule_.requests[idx];
   ensure_clock_started();
-  wait_until(req.arrival_ns());
   if (const fault::Fire f = fault::probe(fault::Site::kTrafficStall);
       f.fired) [[unlikely]] {
     std::this_thread::sleep_for(std::chrono::duration_cast<

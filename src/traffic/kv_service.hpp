@@ -1,9 +1,11 @@
 // Open-loop transactional KV service workload.
 //
 // Plugs a precomputed arrival Schedule (arrival.hpp) into the malleable
-// runtime's Workload interface: workers pull the next request, wait for its
-// wall-clock arrival, execute it as one transaction against a shared
-// THashMap, and record enqueue→commit latency into per-phase histograms.
+// runtime's Workload interface: workers claim requests once their
+// wall-clock arrival has passed, execute each as one transaction against a
+// shared THashMap, and record enqueue→commit latency into per-phase
+// histograms. While nothing is due, one worker holds the arrival timer and
+// the others block (see run_task).
 // Because arrivals are fixed up front, a server that cannot keep up grows a
 // backlog and inflates latency — it never throttles the offered load — so
 // SLO attainment is a fair comparison axis between parallelism controllers.
@@ -71,11 +73,19 @@ class KvTrafficWorkload final : public workloads::Workload {
 
   std::string_view name() const override { return "kv-traffic"; }
 
-  // One open-loop request: claim the next schedule index, sleep until its
-  // arrival time, execute transactionally, record latency + SLO. Past the
-  // end of the schedule this parks briefly so surplus workers idle until
-  // done() flips.
+  // One open-loop request: claim the next schedule index once it is due,
+  // execute it transactionally, record latency + SLO. While the head
+  // request is not due, one worker (the timer holder) sleeps toward its
+  // arrival rounded up to a fixed window, so arrivals within a window share
+  // one wake; the others block until a claimer falling behind pulls one in,
+  // a short watchdog expires, or wake_waiters()/halt() releases them. Each
+  // call executes exactly one request, except past the end of the schedule
+  // (it parks briefly so surplus workers idle until done() flips) and after
+  // wake_waiters() (it may return without one).
   void run_task(stm::TxnDesc& ctx, util::Xoshiro256& rng) override;
+
+  // Sends workers blocked in run_task back to the pool.
+  void wake_waiters() noexcept override;
 
   // All requests dispatched *and* executed.
   bool done() const override;
@@ -84,9 +94,10 @@ class KvTrafficWorkload final : public workloads::Workload {
   // checksums, order/insert row counts, and THashMap chain invariants.
   bool verify(std::string* error = nullptr) override;
 
-  // Stops arrival waits (requests still execute immediately); for
-  // shutting a run down early without breaking the executed accounting.
-  void halt() noexcept { halted_.store(true, std::memory_order_release); }
+  // Stops arrival waits (requests still execute immediately, each claim is
+  // one fetch_add); for shutting a run down early without breaking the
+  // executed accounting.
+  void halt() noexcept;
 
   // Requests due by now but not yet executed (0 before the clock starts).
   std::uint64_t backlog_now() const;
@@ -125,6 +136,10 @@ class KvTrafficWorkload final : public workloads::Workload {
 
   void populate(stm::Runtime& rt);
   void ensure_clock_started();
+  std::uint64_t claim_due();
+  void hold_timer(std::uint32_t epoch);
+  void follow(std::uint32_t epoch);
+  void wake_followers(int count) noexcept;
   void wait_until(std::uint64_t arrival_ns) const;
   void execute(stm::TxnDesc& ctx, const Request& req);
   void mark_applied(stm::Txn& tx, const Request& req);
@@ -143,6 +158,14 @@ class KvTrafficWorkload final : public workloads::Workload {
   // due_by() is exact from any hint, so relaxed loads and stores suffice.
   mutable std::atomic<std::uint64_t> due_cursor_{0};
   std::atomic<bool> halted_{false};
+  // Arrival wait (run_task): at most one worker holds the timer; followers
+  // block on the futex word wake_seq_, which every wake bumps. sleepers_
+  // counts them so a claimer skips the wake syscall when nobody sleeps;
+  // wake_waiters() bumps release_epoch_ to send waiters back to the pool.
+  std::atomic<bool> timer_held_{false};
+  std::atomic<std::uint32_t> wake_seq_{0};
+  std::atomic<std::uint32_t> sleepers_{0};
+  std::atomic<std::uint32_t> release_epoch_{0};
 
   std::once_flag clock_once_;
   std::atomic<bool> clock_started_{false};

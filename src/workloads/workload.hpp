@@ -34,6 +34,13 @@ class Workload {
   // pool can report a makespan (runtime::TunedProcess::run_to_completion).
   // Streaming workloads keep the default: never done.
   virtual bool done() const { return false; }
+
+  // Called by the pool when it needs every worker back at its gate soon: a
+  // level drop, a quiescent point (run_quiesced) and stop. A workload whose
+  // run_task blocks waiting for work releases those workers here; they may
+  // return from run_task without having run a task. Thread-safe; the
+  // default has nothing to release.
+  virtual void wake_waiters() noexcept {}
 };
 
 }  // namespace rubic::workloads

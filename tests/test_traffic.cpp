@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -18,6 +19,7 @@
 #include "src/control/factory.hpp"
 #include "src/control/fixed.hpp"
 #include "src/fault/fault.hpp"
+#include "src/runtime/malleable_pool.hpp"
 #include "src/runtime/process.hpp"
 #include "src/stm/stm.hpp"
 #include "src/telemetry/json.hpp"
@@ -654,6 +656,238 @@ TEST_F(TrafficChaosTest, BacklogGrowsWhenServerStalled) {
   EXPECT_GT(stalled_backlog, 3 * std::max<std::uint64_t>(healthy_backlog, 1));
   // Latency inflation is the other side of the same coin.
   EXPECT_GT(outcome.summary.overall.p99_us, 5000.0);
+}
+
+// --- arrival wait: liveness and request accounting -------------------------
+//
+// While nothing is due, one worker holds the arrival timer and the others
+// block inside run_task. These tests run a 3-worker pool over a low-rate
+// schedule with a long idle gap, so every worker is waiting in the service
+// when the pool or the driver acts; each bound is in wall time and far
+// below the gap.
+
+// Forwards to a KvTrafficWorkload and watches each run_task call:
+//  - a call that returns without committing on its caller's context while
+//    the schedule still has undispatched requests is a phantom task;
+//  - threads are numbered in the order they first call in, which matches
+//    pool tids when the level is raised one worker at a time;
+//  - hold() keeps every thread but one outside the service until
+//    release_held();
+//  - wake_waiters() reaches the service only when `forward_release` is set
+//    (a wrapper that does not forward it, like perfbench's probe, leaves the
+//    watchdog to hand the timer on).
+class WatchedKv final : public workloads::Workload {
+ public:
+  WatchedKv(traffic::KvTrafficWorkload& kv, bool forward_release)
+      : kv_(kv), forward_release_(forward_release) {}
+
+  std::string_view name() const override { return kv_.name(); }
+  bool verify(std::string* error) override { return kv_.verify(error); }
+  bool done() const override { return kv_.done(); }
+  void wake_waiters() noexcept override {
+    if (forward_release_) kv_.wake_waiters();
+  }
+
+  void run_task(stm::TxnDesc& ctx, util::Xoshiro256& rng) override {
+    const int me = thread_index(ctx);
+    while (me != admitted_.load() && admitted_.load() >= 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    const std::uint64_t commits_before = ctx.stats().commits.load();
+    kv_.run_task(ctx, rng);
+    if (ctx.stats().commits.load() == commits_before &&
+        kv_.summary().dispatched < kv_.schedule().requests.size()) {
+      phantoms_.fetch_add(1);
+    }
+  }
+
+  int threads_seen() const { return seen_.load(); }
+  std::uint64_t phantoms() const { return phantoms_.load(); }
+  void hold(int admitted) { admitted_.store(admitted); }
+  void release_held() { admitted_.store(-1); }
+
+ private:
+  int thread_index(stm::TxnDesc& ctx) {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = std::find(ctxs_.begin(), ctxs_.end(), &ctx);
+    if (it != ctxs_.end()) return static_cast<int>(it - ctxs_.begin());
+    ctxs_.push_back(&ctx);
+    seen_.store(static_cast<int>(ctxs_.size()));
+    return static_cast<int>(ctxs_.size()) - 1;
+  }
+
+  traffic::KvTrafficWorkload& kv_;
+  const bool forward_release_;
+  std::mutex mu_;
+  std::vector<stm::TxnDesc*> ctxs_;
+  std::atomic<int> seen_{0};
+  std::atomic<int> admitted_{-1};
+  std::atomic<std::uint64_t> phantoms_{0};
+};
+
+constexpr int kWaitWorkers = 3;
+// Far below the idle gap below, and loose enough for sanitizer builds.
+constexpr auto kPrompt = milliseconds(500);
+
+// 2000 requests/s for `busy_s` seconds, then `gap_s` seconds with no
+// arrivals, then 2000/s for 0.2 s.
+traffic::TrafficConfig gapped_config(double busy_s, double gap_s) {
+  traffic::TrafficConfig config = small_config();
+  config.curve = "phases:busy=2000@" + std::to_string(busy_s) +
+                 ",gap=0@" + std::to_string(gap_s) + ",tail=2000@0.2";
+  return config;
+}
+
+// Requests that arrive before the tail phase.
+std::uint64_t before_tail(const traffic::KvTrafficWorkload& kv) {
+  std::uint64_t n = 0;
+  for (const traffic::Request& req : kv.schedule().requests) {
+    n += req.phase() < 2 ? 1 : 0;
+  }
+  return n;
+}
+
+// Polls `ready` every millisecond; false if `timeout` passes first.
+template <typename Ready>
+bool wait_for(Ready ready, milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!ready()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  return true;
+}
+
+milliseconds since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration_cast<milliseconds>(
+      std::chrono::steady_clock::now() - start);
+}
+
+// Waits out the busy phase, then lets every worker settle into the gap's
+// wait.
+void serve_busy_phase(traffic::KvTrafficWorkload& kv) {
+  const std::uint64_t busy = before_tail(kv);
+  ASSERT_TRUE(wait_for([&] { return kv.summary().executed >= busy; },
+                       milliseconds(20000)));
+  std::this_thread::sleep_for(milliseconds(20));
+}
+
+TEST(KvArrivalWait, HaltReleasesBlockedWaitersPromptly) {
+  stm::Runtime rt;
+  traffic::KvTrafficWorkload kv(
+      rt, traffic::build_schedule(gapped_config(0.2, 30)));
+  runtime::MalleablePool pool(rt, kv, {kWaitWorkers, kWaitWorkers, 7});
+  serve_busy_phase(kv);
+  const auto start = std::chrono::steady_clock::now();
+  kv.halt();
+  EXPECT_TRUE(wait_for([&] { return kv.done(); }, kPrompt))
+      << "the halted tail took " << since(start).count() << " ms";
+  pool.stop();
+  std::string error;
+  EXPECT_TRUE(kv.verify(&error)) << error;
+  EXPECT_EQ(kv.summary().executed, kv.schedule().requests.size());
+}
+
+TEST(KvArrivalWait, PoolStopReturnsPromptly) {
+  stm::Runtime rt;
+  traffic::KvTrafficWorkload kv(
+      rt, traffic::build_schedule(gapped_config(0.2, 30)));
+  runtime::MalleablePool pool(rt, kv, {kWaitWorkers, kWaitWorkers, 7});
+  serve_busy_phase(kv);
+  const auto start = std::chrono::steady_clock::now();
+  pool.stop();
+  EXPECT_LT(since(start), kPrompt);
+  std::string error;
+  EXPECT_TRUE(kv.verify(&error)) << error;
+  EXPECT_EQ(kv.summary().executed, before_tail(kv));
+}
+
+TEST(KvArrivalWait, RunQuiescedCompletesWhileWorkersWait) {
+  stm::Runtime rt;
+  traffic::KvTrafficWorkload kv(
+      rt, traffic::build_schedule(gapped_config(0.2, 30)));
+  runtime::MalleablePool pool(rt, kv, {kWaitWorkers, kWaitWorkers, 7});
+  serve_busy_phase(kv);
+  for (int round = 0; round < 3; ++round) {
+    const auto start = std::chrono::steady_clock::now();
+    bool ran = false;
+    pool.run_quiesced([&] { ran = true; });
+    EXPECT_TRUE(ran);
+    EXPECT_LT(since(start), kPrompt) << "round " << round;
+  }
+  kv.halt();
+  EXPECT_TRUE(wait_for([&] { return kv.done(); }, kPrompt));
+  pool.stop();
+  std::string error;
+  EXPECT_TRUE(kv.verify(&error)) << error;
+}
+
+// The last worker to call in holds the timer through the gap; dropping the
+// level parks it. The worker left must take the timer on and serve the
+// whole tail on time, whether the pool's release reaches the service or
+// only the follower watchdog does.
+TEST(KvArrivalWait, LevelDropThatParksTheTimerHolderStillServes) {
+  for (const bool forward_release : {true, false}) {
+    SCOPED_TRACE(forward_release ? "release forwarded" : "watchdog only");
+    stm::Runtime rt;
+    traffic::KvTrafficWorkload kv(
+        rt, traffic::build_schedule(gapped_config(0.5, 0.3)));
+    WatchedKv watched(kv, forward_release);
+    runtime::MalleablePool pool(rt, watched, {kWaitWorkers, 1, 7});
+    for (int level = 1; level <= kWaitWorkers; ++level) {
+      pool.set_level(level);
+      ASSERT_TRUE(wait_for([&] { return watched.threads_seen() >= level; },
+                           milliseconds(5000)));
+    }
+    // Only the highest tid enters the gap, so it takes the timer; the
+    // others follow once it waits.
+    watched.hold(kWaitWorkers - 1);
+    serve_busy_phase(kv);
+    watched.release_held();
+    std::this_thread::sleep_for(milliseconds(20));
+    const std::vector<std::uint64_t> before = pool.per_worker_completed();
+    pool.set_level(1);
+
+    ASSERT_TRUE(wait_for([&] { return kv.done(); }, milliseconds(20000)));
+    pool.stop();
+    std::string error;
+    EXPECT_TRUE(kv.verify(&error)) << error;
+    const traffic::TrafficSummary summary = kv.summary();
+    EXPECT_EQ(summary.executed, summary.scheduled);
+    // The tail was served on time: well within the 1 ms SLO, not a gap late.
+    EXPECT_LT(summary.phases.back().p99_us, 20'000.0);
+    // The parked workers ran at most the request they held when the level
+    // dropped (and, forwarded, one released return), so tid 0 served the
+    // tail.
+    const std::vector<std::uint64_t> after = pool.per_worker_completed();
+    for (int tid = 1; tid < kWaitWorkers; ++tid) {
+      EXPECT_LE(after[tid] - before[tid], 1u) << "tid " << tid;
+    }
+  }
+}
+
+// No run_task call returns without executing a request while the schedule
+// still has requests to dispatch (the pool counts every return as a task),
+// and every scheduled request executes exactly once.
+TEST(KvArrivalWait, EveryTaskExecutesARequest) {
+  for (const char* curve : {"constant:rate=2000,seconds=0.5",
+                            "constant:rate=400000,seconds=0.1"}) {
+    SCOPED_TRACE(curve);
+    traffic::TrafficConfig config = small_config();
+    config.curve = curve;
+    stm::Runtime rt;
+    traffic::KvTrafficWorkload kv(rt, traffic::build_schedule(config));
+    WatchedKv watched(kv, /*forward_release=*/true);
+    runtime::MalleablePool pool(rt, watched,
+                                {kWaitWorkers, kWaitWorkers, 7});
+    ASSERT_TRUE(wait_for([&] { return kv.done(); }, milliseconds(60000)));
+    pool.stop();
+    EXPECT_EQ(watched.phantoms(), 0u);
+    const traffic::TrafficSummary summary = kv.summary();
+    EXPECT_EQ(summary.executed, summary.scheduled);
+    std::string error;
+    EXPECT_TRUE(kv.verify(&error)) << error;
+  }
 }
 
 // --- listing agreement -----------------------------------------------------

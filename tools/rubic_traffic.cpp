@@ -28,6 +28,7 @@
 #include <atomic>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -209,10 +210,13 @@ class SignalWatcher {
 
 traffic::RunResult run_policy(const std::string& policy, const Options& opt) {
   // Each policy gets a fresh fault plan so all runs see the identical
-  // per-site schedule (hit counters restart from zero).
-  fault::disarm();
+  // per-site schedule (hit counters restart from zero). Declared before
+  // the process, so it stays armed until the workers are joined.
+  std::unique_ptr<fault::Plan> plan;
+  std::optional<fault::Armed> armed;
   if (!opt.fault_spec.empty()) {
-    fault::arm(*fault::Plan::parse(opt.fault_spec).release());
+    plan = fault::Plan::parse(opt.fault_spec);
+    armed.emplace(*plan);
   }
 
   stm::RuntimeConfig stm_config;

@@ -118,9 +118,15 @@ void MalleablePool::run_quiesced(const std::function<void()>& fn) {
   // Wait for in-flight tasks to drain, one worker at a time. Parked workers
   // hold no task; active ones finish their current run_task and then spin
   // at the fence, so a flag seen clear stays clear until paused_ drops.
+  // Sleep, never yield: the caller is the monitor, raised to SCHED_RR, and
+  // a realtime thread's yield never hands its CPU to a normal-priority
+  // worker that is mid-task there (it would wait out RT throttling, ~1 s).
   for (const auto& worker : workers_) {
     while (worker->in_task.value.load(std::memory_order_seq_cst)) {
-      std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+      // A worker that passed the fence just before paused_ rose may have
+      // started waiting after the release above: release it again.
+      workload_.wake_waiters();
     }
   }
   try {

@@ -41,9 +41,9 @@ Monitor::Monitor(MalleablePool& pool, control::Controller& controller,
 
 Monitor::~Monitor() { stop(); }
 
-LiveStatus Monitor::live_status() const {
-  std::lock_guard<std::mutex> lock(status_mutex_);
-  return status_;
+std::optional<RoundRecord> Monitor::latest() const {
+  std::lock_guard<std::mutex> lock(latest_mutex_);
+  return latest_;
 }
 
 void Monitor::stop() {
@@ -60,10 +60,6 @@ void Monitor::loop() {
   using Clock = std::chrono::steady_clock;
   std::uint64_t last_completed = pool_.total_completed();
   auto last_time = Clock::now();
-  // Trace timestamps accumulate the per-round durations (telescoping to
-  // wall time in a normal run) so a clock-jump fault yields a fully
-  // deterministic trace instead of leaking real time into it.
-  std::chrono::nanoseconds elapsed_total{0};
 
   const bool use_contention_signal =
       config_.stm_runtime != nullptr && guard_.consumes_contention();
@@ -72,7 +68,6 @@ void Monitor::loop() {
   // publishes it for cross-process observers either way.
   const bool track_stm = config_.stm_runtime != nullptr;
   stm::TxnStatsSnapshot last_stm;
-  stm::TxnStatsSnapshot now_stm;
   if (track_stm) last_stm = config_.stm_runtime->aggregate_stats();
 
   const auto period_ns =
@@ -93,9 +88,9 @@ void Monitor::loop() {
   std::array<std::uint64_t, 8> last_lat_count{};
   std::array<std::uint64_t, 8> last_lat_sum{};
 
-  // Phase-transition tracking for the event tracer: only *changes* are
-  // emitted, so a policy without decision_info() costs nothing extra.
-  control::DecisionInfo last_info = guard_.decision_info();
+  // The policy's phase, held across overrun rounds; trace events are
+  // emitted on *changes* only.
+  control::DecisionInfo phase = guard_.decision_info();
 
   while (!stopping_.load(std::memory_order_acquire)) {
     std::this_thread::sleep_for(config_.period);  // Alg. 2 line 3
@@ -104,69 +99,70 @@ void Monitor::loop() {
       std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
           f.value < 0.0 ? 0.0 : f.value));
     }
+
+    // --- measure -----------------------------------------------------------
+    RoundRecord record;
+    telemetry::AuditRecord& decision = record.decision;
+    decision.round = rounds_.load(std::memory_order_relaxed);
+    decision.prev = pool_.level();
     const auto now = Clock::now();
-    const std::uint64_t completed = pool_.total_completed();
-    auto round_ns =
+    record.tasks_completed = pool_.total_completed();
+    record.duration =
         std::chrono::duration_cast<std::chrono::nanoseconds>(now - last_time);
     if (const fault::Fire f = fault::probe(fault::Site::kMonitorClockJump)) {
       // Injected clock jump: the round claims a scripted duration. Also the
       // determinism lever — with every round's duration scripted, the whole
       // trace is a pure function of the fault seed.
-      round_ns = std::chrono::nanoseconds(
+      record.duration = std::chrono::nanoseconds(
           f.value < 0.0 ? 0 : static_cast<std::int64_t>(f.value));
     }
     // Tasks per second over the *measured* period that just ended (commit-
     // rate analogue). Scaling by the nominal period would let an overrun
     // round report inflated tasks/sec.
     const double seconds =
-        std::chrono::duration<double>(round_ns).count();
-    double throughput =
-        seconds > 0.0
-            ? static_cast<double>(completed - last_completed) / seconds
-            : 0.0;
+        std::chrono::duration<double>(record.duration).count();
+    const std::uint64_t tasks = record.tasks_completed - last_completed;
+    record.throughput =
+        seconds > 0.0 ? static_cast<double>(tasks) / seconds : 0.0;
     if (const fault::Fire f =
             fault::probe(fault::Site::kMonitorSampleCorrupt)) {
-      throughput = f.value;
+      record.throughput = f.value;
     }
-    bool sanitized_round = false;
-    if (!std::isfinite(throughput) || throughput < 0.0) {
+    if (!std::isfinite(record.throughput) || record.throughput < 0.0) {
       // A corrupted sample carries no usable signal; 0.0 is the "no
       // progress" reading every policy already copes with.
-      throughput = 0.0;
-      sanitized_round = true;
+      record.throughput = 0.0;
+      decision.sanitized = true;
       sanitized_samples_.fetch_add(1, std::memory_order_acq_rel);
     }
-    double commit_ratio = 1.0;
     if (track_stm) {
-      now_stm = config_.stm_runtime->aggregate_stats();
-      const std::uint64_t commits = now_stm.commits - last_stm.commits;
-      const std::uint64_t aborts =
-          now_stm.total_aborts() - last_stm.total_aborts();
+      const stm::TxnStatsSnapshot now_stm =
+          config_.stm_runtime->aggregate_stats();
+      record.commits = now_stm.commits;
+      record.aborts = now_stm.total_aborts();
+      const std::uint64_t commits = record.commits - last_stm.commits;
+      const std::uint64_t aborts = record.aborts - last_stm.total_aborts();
       last_stm = now_stm;
       if (commits + aborts != 0) {
-        commit_ratio = static_cast<double>(commits) /
-                       static_cast<double>(commits + aborts);
+        record.commit_ratio = static_cast<double>(commits) /
+                              static_cast<double>(commits + aborts);
       }
     }
-    const bool overrun =
+    decision.overrun =
         config_.overrun_factor > 0.0 &&
-        round_ns > std::chrono::nanoseconds(static_cast<std::int64_t>(
-                       config_.overrun_factor *
-                       static_cast<double>(period_ns.count())));
-    const int prev_level = pool_.level();
-    // Backend adaptation happens before the level decision (the order the
-    // audit replay mirrors; the two state machines are independent). The
-    // signal is already finite here — the guard's sanitization is a second
-    // line of defense — so the recorded values are exactly what the adapter
-    // consumed, keeping replay byte-identical.
-    bool backend_round = false;
-    bool backend_switched = false;
-    std::string backend_desired;
-    control::BackendSignal backend_signal;
-    if (adapt_backend && !overrun) {
-      backend_round = true;
-      backend_signal.throughput = throughput;
-      backend_signal.abort_rate = 1.0 - commit_ratio;
+        record.duration > std::chrono::nanoseconds(static_cast<std::int64_t>(
+                              config_.overrun_factor *
+                              static_cast<double>(period_ns.count())));
+
+    // --- decide: backend adaptation, then the level ------------------------
+    // The order the audit replay mirrors; the two state machines are
+    // independent. The signal is already finite here — the guard's
+    // sanitization is a second line of defense — so the recorded values are
+    // exactly what the adapter consumed, keeping replay byte-identical.
+    if (adapt_backend && !decision.overrun) {
+      decision.backend_valid = true;
+      decision.backend_throughput = record.throughput;
+      decision.backend_abort_rate = 1.0 - record.commit_ratio;
       const stm::BackendKind active = config_.stm_runtime->backend();
       if (telemetry::armed()) {
         telemetry::Histogram& latency = telemetry::registry().histogram(
@@ -180,24 +176,25 @@ void Monitor::loop() {
         last_lat_count[slot] = count;
         last_lat_sum[slot] = sum;
         if (delta_count > 0) {
-          backend_signal.commit_lat_ns = static_cast<double>(delta_sum) /
-                                         static_cast<double>(delta_count);
+          decision.backend_commit_lat_ns = static_cast<double>(delta_sum) /
+                                           static_cast<double>(delta_count);
         }
       }
-      const int desired = guard_.on_backend_signal(backend_signal);
-      backend_desired =
-          (*guard_.backend_candidates())[static_cast<std::size_t>(desired)];
-      const std::optional<stm::BackendKind> kind =
-          candidate_kinds[static_cast<std::size_t>(desired)];
+      const auto desired = static_cast<std::size_t>(guard_.on_backend_signal(
+          {decision.backend_throughput, decision.backend_abort_rate,
+           decision.backend_commit_lat_ns}));
+      decision.backend = (*guard_.backend_candidates())[desired];
+      const std::optional<stm::BackendKind> kind = candidate_kinds[desired];
       if (kind.has_value() && *kind != active) {
         // Fence the pool at a task boundary and retarget the runtime. A
         // still-active foreign context (a thread outside this pool mid-
         // transaction) makes try_set_backend refuse; the adapter re-asks
         // next round.
         pool_.run_quiesced([&] {
-          backend_switched = config_.stm_runtime->try_set_backend(*kind);
+          decision.backend_switched =
+              config_.stm_runtime->try_set_backend(*kind);
         });
-        if (backend_switched) {
+        if (decision.backend_switched) {
           backend_switches_.fetch_add(1, std::memory_order_acq_rel);
           trace::emit(trace::EventType::kBackendSwitch,
                       static_cast<std::uint32_t>(active),
@@ -210,125 +207,95 @@ void Monitor::loop() {
         }
       }
     }
-    int next_level;
-    if (overrun) {
+    if (track_stm) {
+      record.backend = static_cast<int>(config_.stm_runtime->backend());
+    }
+    // The audit input is exactly what the guard was fed (post-monitor
+    // sanitization), so an offline replay re-runs the identical decision.
+    // On an overrun round the controller was skipped; the record carries
+    // the discarded measurement for the human reader.
+    decision.used_commit_ratio = use_contention_signal;
+    decision.input =
+        use_contention_signal ? record.commit_ratio : record.throughput;
+    if (decision.overrun) {
       // The measurement covers a window the controller never asked about
       // (the monitor was starved); feeding it would punish the current
       // level for the scheduler's sins. Log, hold the level, move on.
       overrun_rounds_.fetch_add(1, std::memory_order_acq_rel);
-      next_level = prev_level;
+      decision.next = decision.prev;
+    } else if (use_contention_signal) {
+      decision.next = guard_.on_commit_ratio(decision.input);
     } else {
-      next_level = use_contention_signal ? guard_.on_commit_ratio(commit_ratio)
-                                         : guard_.on_sample(throughput);
+      decision.next = guard_.on_sample(decision.input);
     }
-    pool_.set_level(next_level);
+    pool_.set_level(decision.next);
     trace::emit(trace::EventType::kMonitorRound,
-                (sanitized_round ? 1u : 0u) | (overrun ? 2u : 0u),
-                rounds_.load(std::memory_order_relaxed), throughput);
-    control::DecisionInfo info;
-    if (!overrun) {
+                (decision.sanitized ? 1u : 0u) | (decision.overrun ? 2u : 0u),
+                decision.round, record.throughput);
+    if (!decision.overrun) {
       trace::emit(trace::EventType::kLevelDecision,
-                  static_cast<std::uint32_t>(prev_level),
-                  static_cast<std::uint64_t>(next_level), throughput);
-      if (trace::armed() != nullptr || config_.audit != nullptr ||
-          config_.publish_status) {
-        info = guard_.decision_info();
+                  static_cast<std::uint32_t>(decision.prev),
+                  static_cast<std::uint64_t>(decision.next), record.throughput);
+      const control::DecisionInfo info = guard_.decision_info();
+      if (info.valid && (!phase.valid || info.phase != phase.phase)) {
+        trace::emit(trace::EventType::kPhaseChange, info.phase,
+                    phase.valid ? phase.phase : ~std::uint64_t{0}, info.aux);
       }
-      if (trace::armed() != nullptr) {
-        if (info.valid && (!last_info.valid || info.phase != last_info.phase)) {
-          trace::emit(trace::EventType::kPhaseChange, info.phase,
-                      last_info.valid ? last_info.phase : ~std::uint64_t{0},
-                      info.aux);
-        }
-        last_info = info;
-      }
-    }
-    if (config_.audit != nullptr) {
-      // The audit input is exactly what the guard was fed (post-monitor
-      // sanitization), so an offline replay re-runs the identical decision.
-      // On an overrun round the controller was skipped; the record carries
-      // the discarded measurement for the human reader.
-      telemetry::AuditRecord record;
-      record.round = rounds_.load(std::memory_order_relaxed);
-      record.prev = prev_level;
-      record.next = next_level;
-      record.used_commit_ratio = use_contention_signal;
-      record.input = use_contention_signal ? commit_ratio : throughput;
-      record.overrun = overrun;
-      record.sanitized = sanitized_round;
-      if (!overrun && info.valid) {
-        record.phase_valid = true;
-        record.phase = info.phase;
-        record.phase_name = std::string(info.phase_name);
-        record.aux = info.aux;
-      }
-      if (backend_round) {
-        record.backend_valid = true;
-        record.backend = backend_desired;
-        record.backend_switched = backend_switched;
-        record.backend_throughput = backend_signal.throughput;
-        record.backend_abort_rate = backend_signal.abort_rate;
-        record.backend_commit_lat_ns = backend_signal.commit_lat_ns;
-      }
-      config_.audit->append(record);
-    }
-    if (telemetry::armed()) [[unlikely]] {
-      telemetry::Registry& reg = telemetry::registry();
-      static telemetry::Counter& rounds_total =
-          reg.counter("rubic_monitor_rounds_total");
-      static telemetry::Counter& sanitized_total =
-          reg.counter("rubic_monitor_sanitized_samples_total");
-      static telemetry::Counter& overrun_total =
-          reg.counter("rubic_monitor_overrun_rounds_total");
-      static telemetry::Histogram& round_duration =
-          reg.histogram("rubic_monitor_round_duration_ns");
-      rounds_total.add();
-      if (sanitized_round) sanitized_total.add();
-      if (overrun) overrun_total.add();
-      round_duration.observe(static_cast<std::uint64_t>(round_ns.count()));
-    }
-    if (config_.bus != nullptr) {
-      ipc::SlotSample sample;
-      sample.level = next_level;
-      sample.throughput = throughput;
-      sample.commit_ratio = commit_ratio;
-      sample.tasks_completed = completed;
-      sample.commits = now_stm.commits;
-      sample.aborts = now_stm.total_aborts();
-      if (track_stm) {
-        sample.backend = static_cast<int>(config_.stm_runtime->backend());
-      }
-      config_.bus->publish(sample);
-    }
-    if (config_.publish_status) {
-      // Copy for concurrent readers (the HTTP /status endpoint): the rest
-      // of the round's state is owned by this thread.
-      std::lock_guard<std::mutex> lock(status_mutex_);
-      status_.rounds = rounds_.load(std::memory_order_relaxed) + 1;
-      status_.level = next_level;
-      status_.throughput = throughput;
-      status_.commit_ratio = commit_ratio;
-      if (track_stm) {
-        status_.backend =
-            std::string(stm::backend_name(config_.stm_runtime->backend()));
-      }
-      if (!overrun) {
-        status_.phase_valid = info.valid;
-        status_.phase = info.phase;
-        status_.phase_name = std::string(info.phase_name);
-        status_.aux = info.aux;
+      phase = info;
+      if (info.valid) {
+        decision.phase_valid = true;
+        decision.phase = info.phase;
+        decision.phase_name = std::string(info.phase_name);
+        decision.aux = info.aux;
       }
     }
-    elapsed_total += round_ns;
-    if (config_.record_trace) {
-      trace_.push_back(MonitorSample{elapsed_total, throughput, next_level});
-    }
-    last_completed = completed;
+    record.phase = phase;
+
+    last_completed = record.tasks_completed;
     last_time = now;
+    publish(std::move(record));
     const std::uint64_t done =
         rounds_.fetch_add(1, std::memory_order_acq_rel) + 1;
     if (config_.max_rounds != 0 && done >= config_.max_rounds) break;
   }
+}
+
+void Monitor::publish(RoundRecord&& record) {
+  const telemetry::AuditRecord& decision = record.decision;
+  if (config_.audit != nullptr) config_.audit->append(decision);
+  if (telemetry::armed()) [[unlikely]] {
+    telemetry::Registry& reg = telemetry::registry();
+    static telemetry::Counter& rounds_total =
+        reg.counter("rubic_monitor_rounds_total");
+    static telemetry::Counter& sanitized_total =
+        reg.counter("rubic_monitor_sanitized_samples_total");
+    static telemetry::Counter& overrun_total =
+        reg.counter("rubic_monitor_overrun_rounds_total");
+    static telemetry::Histogram& round_duration =
+        reg.histogram("rubic_monitor_round_duration_ns");
+    rounds_total.add();
+    if (decision.sanitized) sanitized_total.add();
+    if (decision.overrun) overrun_total.add();
+    round_duration.observe(static_cast<std::uint64_t>(record.duration.count()));
+  }
+  if (config_.bus != nullptr) {
+    ipc::SlotSample sample;
+    sample.level = decision.next;
+    sample.throughput = record.throughput;
+    sample.commit_ratio = record.commit_ratio;
+    sample.tasks_completed = record.tasks_completed;
+    sample.commits = record.commits;
+    sample.aborts = record.aborts;
+    sample.backend = record.backend;
+    config_.bus->publish(sample);
+  }
+  elapsed_ += record.duration;
+  level_sum_ += decision.next;
+  if (config_.record_trace) {
+    trace_.push_back(MonitorSample{elapsed_, record.throughput, decision.next});
+  }
+  std::lock_guard<std::mutex> lock(latest_mutex_);
+  latest_ = std::move(record);
 }
 
 }  // namespace rubic::runtime

@@ -5,7 +5,9 @@
 // oversubscribed), wakes every TIME_PERIOD (10 ms in the paper), computes
 // the process throughput from the workers' counters, feeds it to the
 // controller and applies the returned parallelism level to the pool.
-// Records a (time, level, throughput) trace for the convergence figures.
+// Each round is computed once into a RoundRecord (measure → decide →
+// publish) and handed directly to every consumer: the audit log, the
+// co-location bus, latest(), the trace and telemetry.
 //
 // Robustness: throughput is always scaled by the *measured* elapsed time of
 // the round (never the nominal period — a preempted monitor would otherwise
@@ -22,6 +24,7 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -29,13 +32,10 @@
 #include "src/control/controller.hpp"
 #include "src/control/guard.hpp"
 #include "src/runtime/malleable_pool.hpp"
+#include "src/telemetry/audit.hpp"
 
 namespace rubic::ipc {
 class CoLocationBus;
-}
-
-namespace rubic::telemetry {
-class AuditLog;
 }
 
 namespace rubic::runtime {
@@ -76,29 +76,26 @@ struct MonitorConfig {
   // level, CIMD phase) to this audit log — the stream tools/rubic_replay
   // re-drives offline. The caller owns the log (and its AuditMeta) and must
   // keep it alive until after stop(). One uncontended mutex acquisition per
-  // round; leave null for zero cost.
+  // round; leave null to skip it.
   telemetry::AuditLog* audit = nullptr;
-  // When true, every round publishes a LiveStatus copy under a mutex for
-  // live_status() readers (the HTTP /status endpoint). Off by default: the
-  // monitor loop and a scrape thread must not share state without it, and
-  // the copy (strings included) is not free at a 10 ms cadence.
-  bool publish_status = false;
 };
 
-// A consistent copy of the monitor's most recent round, safe to read from
-// any thread while the loop runs (unlike guard().decision_info(), which is
-// owned by the monitor thread). Only populated when
-// MonitorConfig::publish_status is set.
-struct LiveStatus {
-  std::uint64_t rounds = 0;
-  int level = 0;
-  double throughput = 0.0;
-  double commit_ratio = 1.0;
-  std::string backend;  // active STM backend ("" when no runtime is wired)
-  bool phase_valid = false;
-  std::uint32_t phase = 0;
-  std::string phase_name;
-  double aux = 0.0;
+// One monitor round, built once and handed to every consumer.
+struct RoundRecord {
+  // What the audit log appends and tools/rubic_replay re-drives: the input
+  // as fed to the guard, prev/next level, the overrun/sanitized flags, the
+  // phase of a decided round and the backend-adaptation sub-record.
+  telemetry::AuditRecord decision;
+  std::chrono::nanoseconds duration{0};  // measured (or fault-scripted)
+  double throughput = 0.0;               // tasks/sec over `duration`, sanitized
+  double commit_ratio = 1.0;             // STM commits / attempts this round
+  std::uint64_t tasks_completed = 0;     // pool total, monotonic
+  std::uint64_t commits = 0;             // STM totals; 0 with no runtime wired
+  std::uint64_t aborts = 0;
+  int backend = -1;  // active stm::BackendKind after the round; -1 = none
+  // The policy's phase as of its last decision. decision.phase_* is empty
+  // on an overrun round (the policy was not consulted); this one holds.
+  control::DecisionInfo phase;
 };
 
 class Monitor {
@@ -146,13 +143,21 @@ class Monitor {
 
   const control::ControllerGuard& guard() const noexcept { return guard_; }
 
-  // Copy of the latest round's status (see LiveStatus). Thread-safe; the
-  // default-constructed value until the first round completes or when
-  // publish_status is off.
-  LiveStatus live_status() const;
+  // Copy of the latest round's record; nullopt until the first round
+  // completes. Thread-safe (one uncontended lock per round on the loop
+  // side), unlike guard().decision_info(), which the monitor thread owns.
+  std::optional<RoundRecord> latest() const;
+
+  // Mean level chosen over all rounds, whether or not record_trace is set.
+  // Only valid after stop().
+  double mean_level() const noexcept {
+    const std::uint64_t n = rounds();
+    return n == 0 ? 0.0 : level_sum_ / static_cast<double>(n);
+  }
 
  private:
   void loop();
+  void publish(RoundRecord&& record);
 
   MalleablePool& pool_;
   control::ControllerGuard guard_;
@@ -166,8 +171,13 @@ class Monitor {
   std::atomic<std::uint64_t> backend_switches_{0};
   bool priority_raised_ = false;
   std::vector<MonitorSample> trace_;
-  mutable std::mutex status_mutex_;
-  LiveStatus status_;
+  // Trace timestamps accumulate the per-round durations (telescoping to
+  // wall time in a normal run) so a clock-jump fault yields a fully
+  // deterministic trace instead of leaking real time into it.
+  std::chrono::nanoseconds elapsed_{0};
+  double level_sum_ = 0.0;  // of every round's next level
+  mutable std::mutex latest_mutex_;
+  std::optional<RoundRecord> latest_;
   std::thread thread_;
 };
 

@@ -29,12 +29,8 @@ RunReport TunedProcess::finalize_report(
       seconds > 0 ? static_cast<double>(report.tasks_completed) / seconds : 0;
   report.final_level = pool_->level();
   report.monitor_rounds = monitor_->rounds();
+  report.mean_level = monitor_->mean_level();
   report.trace = monitor_->trace();
-  if (!report.trace.empty()) {
-    double level_sum = 0;
-    for (const auto& sample : report.trace) level_sum += sample.level;
-    report.mean_level = level_sum / static_cast<double>(report.trace.size());
-  }
   report.stm_stats = rt_.aggregate_stats();
   return report;
 }

@@ -41,6 +41,9 @@ std::string read_file(const std::string& path) {
 
 namespace {
 
+// Refresh cadence of a child's live-introspection parts (ChildRun::live_base).
+constexpr int kLivePeriodMs = 250;
+
 // Write-to-tmp-then-rename: a concurrent reader (the parent's endpoint, or
 // a curious operator) sees either the previous complete file or the new one,
 // never a torn fragment.
@@ -125,13 +128,11 @@ int run_workload_child(const ChildRun& run, ipc::CoLocationBus* bus) {
     }
   };
   if (live_parts) {
-    const int period_ms = std::max(run.live_period_ms, 50);
-    live_thread = std::thread([&live_stop, &refresh_live_parts, period_ms] {
+    live_thread = std::thread([&live_stop, &refresh_live_parts] {
       while (!live_stop.load(std::memory_order_acquire)) {
         refresh_live_parts();
-        for (int waited = 0;
-             waited < period_ms && !live_stop.load(std::memory_order_acquire);
-             waited += 20) {
+        for (int waited = 0; waited < kLivePeriodMs; waited += 20) {
+          if (live_stop.load(std::memory_order_acquire)) break;
           std::this_thread::sleep_for(milliseconds(20));
         }
       }

@@ -62,10 +62,9 @@ struct ChildRun {
   std::string audit_base;      // "" = no audit stream ("<base>.<pid>.jsonl")
   // Live-introspection parts: while the run is in flight the child refreshes
   // "<base>.<pid>.tlive" (telemetry snapshot) and "<base>.<pid>.clive"
-  // (contention snapshot) every live_period_ms via atomic tmp+rename, so the
+  // (contention snapshot) every 250 ms via atomic tmp+rename, so the
   // parent's HTTP endpoint can serve a merged mid-run view. "" = disabled.
   std::string live_base;
-  int live_period_ms = 250;
   // Violation-demo knob: corrupt the zero-sum account state after the run
   // so verify() must reject it. Traffic workloads only.
   bool tamper_zero_sum = false;

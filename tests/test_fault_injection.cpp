@@ -32,6 +32,7 @@
 #include "src/runtime/monitor.hpp"
 #include "src/runtime/process.hpp"
 #include "src/stm/stm.hpp"
+#include "src/telemetry/audit.hpp"
 #include "src/workloads/rbset_workload.hpp"
 
 namespace rubic {
@@ -442,6 +443,108 @@ TEST_F(MonitorChaosTest, SameSeedSameTrace) {
     }
   }
   EXPECT_TRUE(any_difference);
+}
+
+// The audit stream tools/rubic_replay consumes, for fully scripted rounds
+// (as above) with an STM runtime wired: under "rubic" (no backend
+// sub-record) and under "adaptive" (12 rounds reach its first online
+// switch, at round 8), then "adaptive" again with an overrun round 2 and a
+// sanitized round 5. The expected bytes were written by the monitor before
+// it built one RoundRecord per round, so that refactor provably left replay
+// input byte-identical.
+constexpr const char* kScriptedRounds =
+    "seed=77;clock_jump:ns=5000000,every=1;"
+    "sample_corrupt:value=1000,seeded,every=1";
+constexpr const char* kScriptedStorm =
+    "seed=77;clock_jump:ns=500000000,from=2,until=2;"
+    "clock_jump:ns=5000000,every=1;sample_corrupt:value=nan,from=5,until=5;"
+    "sample_corrupt:value=1000,seeded,every=1";
+
+constexpr const char* kScriptedRubicAudit = R"json(
+{"schema":"rubic-audit/v1","policy":"rubic","min_level":1,"max_level":4,"contexts":8,"pool":16,"aimd_alpha":0.5,"processes":1,"seed":77,"stm_backend":"orec_swiss"}
+{"round":0,"prev":1,"next":2,"kind":"throughput","input":526.94881052609355,"overrun":false,"sanitized":false,"phase":{"id":2,"name":"linear/linear","aux":1}}
+{"round":1,"prev":2,"next":1,"kind":"throughput","input":21.064553156163402,"overrun":false,"sanitized":false,"phase":{"id":3,"name":"linear/multiplicative","aux":1}}
+{"round":2,"prev":1,"next":2,"kind":"throughput","input":944.61429597562869,"overrun":false,"sanitized":false,"phase":{"id":1,"name":"cubic/multiplicative","aux":1}}
+{"round":3,"prev":2,"next":2,"kind":"throughput","input":937.67177779467045,"overrun":false,"sanitized":false,"phase":{"id":2,"name":"linear/linear","aux":2}}
+{"round":4,"prev":2,"next":3,"kind":"throughput","input":790.17500797504886,"overrun":false,"sanitized":false,"phase":{"id":0,"name":"cubic/linear","aux":2}}
+{"round":5,"prev":3,"next":1,"kind":"throughput","input":285.21538011199323,"overrun":false,"sanitized":false,"phase":{"id":3,"name":"linear/multiplicative","aux":2}}
+{"round":6,"prev":1,"next":2,"kind":"throughput","input":541.91463278343247,"overrun":false,"sanitized":false,"phase":{"id":1,"name":"cubic/multiplicative","aux":2}}
+{"round":7,"prev":2,"next":2,"kind":"throughput","input":439.05162144689393,"overrun":false,"sanitized":false,"phase":{"id":2,"name":"linear/linear","aux":2}}
+{"round":8,"prev":2,"next":3,"kind":"throughput","input":516.61163931430224,"overrun":false,"sanitized":false,"phase":{"id":0,"name":"cubic/linear","aux":2}}
+{"round":9,"prev":3,"next":1,"kind":"throughput","input":473.17376492409159,"overrun":false,"sanitized":false,"phase":{"id":3,"name":"linear/multiplicative","aux":2}}
+{"round":10,"prev":1,"next":2,"kind":"throughput","input":369.30769855921329,"overrun":false,"sanitized":false,"phase":{"id":1,"name":"cubic/multiplicative","aux":2}}
+{"round":11,"prev":2,"next":3,"kind":"throughput","input":382.06112136531476,"overrun":false,"sanitized":false,"phase":{"id":2,"name":"linear/linear","aux":2}}
+)json";
+
+constexpr const char* kScriptedAdaptiveAudit = R"json(
+{"schema":"rubic-audit/v1","policy":"adaptive","min_level":1,"max_level":4,"contexts":8,"pool":16,"aimd_alpha":0.5,"processes":1,"seed":77,"stm_backend":"orec_swiss"}
+{"round":0,"prev":1,"next":2,"kind":"throughput","input":526.94881052609355,"overrun":false,"sanitized":false,"phase":{"id":2,"name":"linear/linear","aux":1},"backend":{"name":"orec_swiss","switched":false,"throughput":526.94881052609355,"abort_rate":0,"commit_lat_ns":0}}
+{"round":1,"prev":2,"next":1,"kind":"throughput","input":21.064553156163402,"overrun":false,"sanitized":false,"phase":{"id":3,"name":"linear/multiplicative","aux":1},"backend":{"name":"orec_swiss","switched":false,"throughput":21.064553156163402,"abort_rate":0,"commit_lat_ns":0}}
+{"round":2,"prev":1,"next":2,"kind":"throughput","input":944.61429597562869,"overrun":false,"sanitized":false,"phase":{"id":1,"name":"cubic/multiplicative","aux":1},"backend":{"name":"orec_swiss","switched":false,"throughput":944.61429597562869,"abort_rate":0,"commit_lat_ns":0}}
+{"round":3,"prev":2,"next":2,"kind":"throughput","input":937.67177779467045,"overrun":false,"sanitized":false,"phase":{"id":2,"name":"linear/linear","aux":2},"backend":{"name":"orec_swiss","switched":false,"throughput":937.67177779467045,"abort_rate":0,"commit_lat_ns":0}}
+{"round":4,"prev":2,"next":3,"kind":"throughput","input":790.17500797504886,"overrun":false,"sanitized":false,"phase":{"id":0,"name":"cubic/linear","aux":2},"backend":{"name":"orec_swiss","switched":false,"throughput":790.17500797504886,"abort_rate":0,"commit_lat_ns":0}}
+{"round":5,"prev":3,"next":1,"kind":"throughput","input":285.21538011199323,"overrun":false,"sanitized":false,"phase":{"id":3,"name":"linear/multiplicative","aux":2},"backend":{"name":"orec_swiss","switched":false,"throughput":285.21538011199323,"abort_rate":0,"commit_lat_ns":0}}
+{"round":6,"prev":1,"next":2,"kind":"throughput","input":541.91463278343247,"overrun":false,"sanitized":false,"phase":{"id":1,"name":"cubic/multiplicative","aux":2},"backend":{"name":"orec_swiss","switched":false,"throughput":541.91463278343247,"abort_rate":0,"commit_lat_ns":0}}
+{"round":7,"prev":2,"next":2,"kind":"throughput","input":439.05162144689393,"overrun":false,"sanitized":false,"phase":{"id":2,"name":"linear/linear","aux":2},"backend":{"name":"orec_swiss","switched":false,"throughput":439.05162144689393,"abort_rate":0,"commit_lat_ns":0}}
+{"round":8,"prev":2,"next":3,"kind":"throughput","input":516.61163931430224,"overrun":false,"sanitized":false,"phase":{"id":0,"name":"cubic/linear","aux":2},"backend":{"name":"norec","switched":true,"throughput":516.61163931430224,"abort_rate":0,"commit_lat_ns":0}}
+{"round":9,"prev":3,"next":1,"kind":"throughput","input":473.17376492409159,"overrun":false,"sanitized":false,"phase":{"id":3,"name":"linear/multiplicative","aux":2},"backend":{"name":"norec","switched":false,"throughput":473.17376492409159,"abort_rate":0,"commit_lat_ns":0}}
+{"round":10,"prev":1,"next":2,"kind":"throughput","input":369.30769855921329,"overrun":false,"sanitized":false,"phase":{"id":1,"name":"cubic/multiplicative","aux":2},"backend":{"name":"norec","switched":false,"throughput":369.30769855921329,"abort_rate":0,"commit_lat_ns":0}}
+{"round":11,"prev":2,"next":3,"kind":"throughput","input":382.06112136531476,"overrun":false,"sanitized":false,"phase":{"id":2,"name":"linear/linear","aux":2},"backend":{"name":"norec","switched":false,"throughput":382.06112136531476,"abort_rate":0,"commit_lat_ns":0}}
+)json";
+
+constexpr const char* kScriptedStormAudit = R"json(
+{"schema":"rubic-audit/v1","policy":"adaptive","min_level":1,"max_level":4,"contexts":8,"pool":16,"aimd_alpha":0.5,"processes":1,"seed":77,"stm_backend":"orec_swiss"}
+{"round":0,"prev":1,"next":2,"kind":"throughput","input":526.94881052609355,"overrun":false,"sanitized":false,"phase":{"id":2,"name":"linear/linear","aux":1},"backend":{"name":"orec_swiss","switched":false,"throughput":526.94881052609355,"abort_rate":0,"commit_lat_ns":0}}
+{"round":1,"prev":2,"next":1,"kind":"throughput","input":21.064553156163402,"overrun":false,"sanitized":false,"phase":{"id":3,"name":"linear/multiplicative","aux":1},"backend":{"name":"orec_swiss","switched":false,"throughput":21.064553156163402,"abort_rate":0,"commit_lat_ns":0}}
+{"round":2,"prev":1,"next":1,"kind":"throughput","input":944.61429597562869,"overrun":true,"sanitized":false,"phase":null}
+{"round":3,"prev":1,"next":2,"kind":"throughput","input":937.67177779467045,"overrun":false,"sanitized":false,"phase":{"id":1,"name":"cubic/multiplicative","aux":1},"backend":{"name":"orec_swiss","switched":false,"throughput":937.67177779467045,"abort_rate":0,"commit_lat_ns":0}}
+{"round":4,"prev":2,"next":2,"kind":"throughput","input":790.17500797504886,"overrun":false,"sanitized":false,"phase":{"id":2,"name":"linear/linear","aux":2},"backend":{"name":"orec_swiss","switched":false,"throughput":790.17500797504886,"abort_rate":0,"commit_lat_ns":0}}
+{"round":5,"prev":2,"next":3,"kind":"throughput","input":0,"overrun":false,"sanitized":true,"phase":{"id":0,"name":"cubic/linear","aux":2},"backend":{"name":"orec_swiss","switched":false,"throughput":0,"abort_rate":0,"commit_lat_ns":0}}
+{"round":6,"prev":3,"next":4,"kind":"throughput","input":541.91463278343247,"overrun":false,"sanitized":false,"phase":{"id":2,"name":"linear/linear","aux":2},"backend":{"name":"orec_swiss","switched":false,"throughput":541.91463278343247,"abort_rate":0,"commit_lat_ns":0}}
+{"round":7,"prev":4,"next":2,"kind":"throughput","input":439.05162144689393,"overrun":false,"sanitized":false,"phase":{"id":3,"name":"linear/multiplicative","aux":2},"backend":{"name":"orec_swiss","switched":false,"throughput":439.05162144689393,"abort_rate":0,"commit_lat_ns":0}}
+{"round":8,"prev":2,"next":3,"kind":"throughput","input":516.61163931430224,"overrun":false,"sanitized":false,"phase":{"id":1,"name":"cubic/multiplicative","aux":2},"backend":{"name":"orec_swiss","switched":false,"throughput":516.61163931430224,"abort_rate":0,"commit_lat_ns":0}}
+{"round":9,"prev":3,"next":2,"kind":"throughput","input":473.17376492409159,"overrun":false,"sanitized":false,"phase":{"id":2,"name":"linear/linear","aux":3},"backend":{"name":"norec","switched":true,"throughput":473.17376492409159,"abort_rate":0,"commit_lat_ns":0}}
+{"round":10,"prev":2,"next":3,"kind":"throughput","input":369.30769855921329,"overrun":false,"sanitized":false,"phase":{"id":0,"name":"cubic/linear","aux":3},"backend":{"name":"norec","switched":false,"throughput":369.30769855921329,"abort_rate":0,"commit_lat_ns":0}}
+{"round":11,"prev":3,"next":4,"kind":"throughput","input":382.06112136531476,"overrun":false,"sanitized":false,"phase":{"id":2,"name":"linear/linear","aux":3},"backend":{"name":"norec","switched":false,"throughput":382.06112136531476,"abort_rate":0,"commit_lat_ns":0}}
+)json";
+
+std::string scripted_audit_jsonl(const std::string& policy, const char* spec) {
+  auto plan = fault::Plan::parse(spec);
+  stm::RuntimeConfig stm_config;
+  stm_config.backend = stm::BackendKind::kOrecSwiss;
+  stm::Runtime rt(stm_config);
+  NopWorkload workload;
+  runtime::MalleablePool pool(
+      rt, workload, runtime::PoolConfig{.pool_size = 4, .initial_level = 1});
+  control::PolicyConfig policy_config = guard_policy_config();
+  policy_config.initial_backend = "orec_swiss";
+  auto controller = control::make_controller(policy, policy_config);
+  telemetry::AuditMeta meta;
+  meta.policy = policy;
+  meta.max_level = 4;
+  meta.contexts = policy_config.contexts;
+  meta.pool = policy_config.pool_size;
+  meta.seed = 77;
+  meta.stm_backend = "orec_swiss";
+  telemetry::AuditLog audit(meta);
+  fault::Armed armed(*plan);
+  runtime::MonitorConfig config = chaos_monitor_config(12);
+  config.stm_runtime = &rt;
+  config.audit = &audit;
+  runtime::Monitor monitor(pool, *controller, config);
+  EXPECT_TRUE(eventually([&] { return monitor.rounds() >= 12; }));
+  monitor.stop();
+  return telemetry::to_jsonl(audit);
+}
+
+TEST_F(MonitorChaosTest, ScriptedAuditBytesArePinned) {
+  // Each expected string opens with a newline to keep its first line short.
+  EXPECT_EQ("\n" + scripted_audit_jsonl("rubic", kScriptedRounds),
+            kScriptedRubicAudit);
+  EXPECT_EQ("\n" + scripted_audit_jsonl("adaptive", kScriptedRounds),
+            kScriptedAdaptiveAudit);
+  EXPECT_EQ("\n" + scripted_audit_jsonl("adaptive", kScriptedStorm),
+            kScriptedStormAudit);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,11 +2,14 @@
 // accounting, monitor feedback wiring, and the end-to-end TunedProcess.
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <sched.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -80,7 +83,8 @@ TEST(MalleablePool, OnlyActiveWorkersCompleteTasks) {
 TEST(MalleablePool, RaisingLevelWakesExactlyTheNewWorkers) {
   stm::Runtime rt;
   NopWorkload workload;
-  MalleablePool pool(rt, workload, PoolConfig{.pool_size = 4, .initial_level = 1});
+  MalleablePool pool(rt, workload,
+                     PoolConfig{.pool_size = 4, .initial_level = 1});
   ASSERT_TRUE(eventually([&] { return pool.blocked_workers() == 3; }));
   pool.set_level(3);
   EXPECT_TRUE(eventually([&] { return pool.blocked_workers() == 1; }));
@@ -143,6 +147,112 @@ TEST(MalleablePool, StopWhileMostlyParkedJoins) {
   ASSERT_TRUE(eventually([&] { return pool->blocked_workers() == 15; }));
   pool.reset();  // destructor path: must not hang
   SUCCEED();
+}
+
+// Counts the tasks it starts; each busy-spins ~2 ms of wall time.
+class SpinWorkload final : public workloads::Workload {
+ public:
+  std::string_view name() const override { return "spin"; }
+  void run_task(stm::TxnDesc&, util::Xoshiro256&) override {
+    started_.fetch_add(1, std::memory_order_relaxed);
+    const auto until = std::chrono::steady_clock::now() + 2ms;
+    while (std::chrono::steady_clock::now() < until) continue;
+  }
+  bool verify(std::string*) override { return true; }
+  std::uint64_t started() const {
+    return started_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  std::atomic<std::uint64_t> started_{0};
+};
+
+TEST(MalleablePool, RealtimeQuiescerDoesNotStarveAWorkerOnItsCpu) {
+  // The monitor raises itself to SCHED_RR and calls run_quiesced for a
+  // backend switch. If the quiescer waited by yielding, a worker preempted
+  // mid-task on the same CPU would never get it back before the kernel's RT
+  // throttling (~1 s). Pinning the quiescer and a 1-worker pool to one CPU
+  // makes that interleaving certain.
+  cpu_set_t allowed;
+  ASSERT_EQ(sched_getaffinity(0, sizeof allowed, &allowed), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &allowed)) ++cpu;
+  bool realtime = false;
+  std::chrono::nanoseconds quiesce{0};
+  std::thread helper([&] {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof one, &one), 0);
+    stm::Runtime rt;
+    SpinWorkload workload;  // the worker inherits the one-CPU mask
+    MalleablePool pool(rt, workload,
+                       PoolConfig{.pool_size = 1, .initial_level = 1});
+    while (workload.started() == 0) std::this_thread::sleep_for(1ms);
+    // Waking preempts the worker, almost surely inside its 2 ms spin.
+    std::this_thread::sleep_for(1ms);
+    sched_param rr{};
+    rr.sched_priority = 1;
+    realtime = pthread_setschedparam(pthread_self(), SCHED_RR, &rr) == 0;
+    if (realtime) {
+      const auto start = std::chrono::steady_clock::now();
+      pool.run_quiesced([] {});
+      quiesce = std::chrono::steady_clock::now() - start;
+      const sched_param normal{};
+      pthread_setschedparam(pthread_self(), SCHED_OTHER, &normal);
+    }
+    pool.stop();
+  });
+  helper.join();
+  if (!realtime) GTEST_SKIP() << "SCHED_RR refused (needs CAP_SYS_NICE)";
+  EXPECT_LT(quiesce, 200ms);
+}
+
+// Models a worker preempted between the pool's quiesce fence and its own
+// read of the workload's release epoch (the open-loop service's arrival
+// wait): the first task reads the epoch only 5 ms in, then waits for the
+// next wake_waiters(), bounded at 5 s. Later tasks return at once.
+class LateWaiterWorkload final : public workloads::Workload {
+ public:
+  std::string_view name() const override { return "late-waiter"; }
+  void run_task(stm::TxnDesc&, util::Xoshiro256&) override {
+    if (started_.fetch_add(1, std::memory_order_release) != 0) {
+      std::this_thread::yield();
+      return;
+    }
+    std::this_thread::sleep_for(5ms);
+    const std::uint64_t epoch = epoch_.load(std::memory_order_acquire);
+    const auto deadline = std::chrono::steady_clock::now() + 5s;
+    while (epoch_.load(std::memory_order_acquire) == epoch &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(50us);
+    }
+  }
+  void wake_waiters() noexcept override {
+    epoch_.fetch_add(1, std::memory_order_acq_rel);
+  }
+  bool verify(std::string*) override { return true; }
+  std::uint64_t started() const {
+    return started_.load(std::memory_order_acquire);
+  }
+
+ private:
+  std::atomic<std::uint64_t> started_{0};
+  std::atomic<std::uint64_t> epoch_{0};
+};
+
+TEST(MalleablePool, RunQuiescedReleasesAWorkerThatWaitsAfterTheFirstRelease) {
+  stm::Runtime rt;
+  LateWaiterWorkload workload;
+  MalleablePool pool(rt, workload,
+                     PoolConfig{.pool_size = 1, .initial_level = 1});
+  while (workload.started() == 0) std::this_thread::yield();
+  // The worker is inside its 5 ms delay: the release run_quiesced sends
+  // first lands before the worker starts waiting.
+  const auto start = std::chrono::steady_clock::now();
+  pool.run_quiesced([] {});
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 1s);
+  pool.stop();
 }
 
 // Controller with a pre-scripted level schedule; records every throughput
@@ -215,7 +325,8 @@ TEST(Monitor, FixedControllerHoldsLevel) {
 TEST(Monitor, StopIsIdempotentAndDestructorSafe) {
   stm::Runtime rt;
   NopWorkload workload;
-  MalleablePool pool(rt, workload, PoolConfig{.pool_size = 4, .initial_level = 1});
+  MalleablePool pool(rt, workload,
+                     PoolConfig{.pool_size = 4, .initial_level = 1});
   control::FixedController controller(control::LevelBounds{1, 4}, 2, "Fixed");
   MonitorConfig mcfg;
   mcfg.period = 5ms;
@@ -246,7 +357,8 @@ TEST(Monitor, PublishesRoundsToCoLocationBus) {
 
   stm::Runtime rt;
   NopWorkload workload;
-  MalleablePool pool(rt, workload, PoolConfig{.pool_size = 4, .initial_level = 1});
+  MalleablePool pool(rt, workload,
+                     PoolConfig{.pool_size = 4, .initial_level = 1});
   control::FixedController controller(control::LevelBounds{1, 4}, 3, "Fixed");
   MonitorConfig mcfg;
   mcfg.period = 5ms;
@@ -265,6 +377,55 @@ TEST(Monitor, PublishesRoundsToCoLocationBus) {
 
   bus.reset();
   ipc::CoLocationBus::unlink(bus_name);
+}
+
+TEST(Monitor, LatestIsTheLastRoundRecordAndSafeToReadLive) {
+  constexpr std::uint64_t kRounds = 12;
+  stm::Runtime rt;
+  workloads::RbSetWorkload workload(rt, workloads::RbSetParams::tiny());
+  MalleablePool pool(rt, workload,
+                     PoolConfig{.pool_size = 4, .initial_level = 1});
+  control::RubicController controller(control::LevelBounds{1, 4});
+  MonitorConfig mcfg;
+  mcfg.period = 2ms;
+  mcfg.raise_priority = false;
+  mcfg.max_rounds = kRounds;
+  mcfg.stm_runtime = &rt;
+  Monitor monitor(pool, controller, mcfg);
+  // The /status endpoint's shape: another thread reads while the loop runs.
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    std::uint64_t last_round = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      if (const std::optional<RoundRecord> record = monitor.latest()) {
+        EXPECT_GE(record->decision.round, last_round);
+        last_round = record->decision.round;
+      }
+    }
+  });
+  EXPECT_TRUE(eventually([&] { return monitor.rounds() >= kRounds; }));
+  monitor.stop();
+  done.store(true, std::memory_order_release);
+  reader.join();
+
+  const std::optional<RoundRecord> latest = monitor.latest();
+  ASSERT_TRUE(latest.has_value());
+  EXPECT_EQ(latest->decision.round, kRounds - 1);
+  EXPECT_EQ(latest->decision.next, pool.level());
+  ASSERT_EQ(monitor.trace().size(), kRounds);
+  EXPECT_EQ(latest->throughput, monitor.trace().back().throughput);
+  EXPECT_EQ(latest->decision.input, latest->throughput);
+  EXPECT_GT(latest->commits, 0u);
+  EXPECT_GT(latest->commit_ratio, 0.0);
+  EXPECT_LE(latest->commit_ratio, 1.0);
+  EXPECT_EQ(latest->backend, static_cast<int>(rt.backend()));
+  const control::DecisionInfo phase = controller.decision_info();
+  ASSERT_TRUE(latest->phase.valid);
+  EXPECT_EQ(latest->phase.phase_name, phase.phase_name);
+  if (!latest->decision.overrun) {
+    EXPECT_EQ(latest->decision.phase_name, phase.phase_name);
+  }
+  pool.stop();
 }
 
 TEST(TunedProcess, EndToEndRbSetWithRubic) {
@@ -287,6 +448,21 @@ TEST(TunedProcess, EndToEndRbSetWithRubic) {
   EXPECT_GT(report.stm_stats.commits, 0u);
   std::string error;
   EXPECT_TRUE(workload.verify(&error)) << error;
+}
+
+TEST(TunedProcess, MeanLevelDoesNotNeedTheTrace) {
+  stm::Runtime rt;
+  NopWorkload workload;
+  control::FixedController controller(control::LevelBounds{1, 4}, 3, "Fixed");
+  ProcessConfig cfg;
+  cfg.pool.pool_size = 4;
+  cfg.monitor.period = 5ms;
+  cfg.monitor.record_trace = false;
+  TunedProcess process(rt, workload, controller, cfg);
+  const RunReport report = process.run_for(100ms);
+  EXPECT_TRUE(report.trace.empty());
+  ASSERT_GT(report.monitor_rounds, 0u);
+  EXPECT_DOUBLE_EQ(report.mean_level, 3.0);
 }
 
 TEST(TunedProcess, RunToCompletionReportsMakespan) {

@@ -25,6 +25,7 @@
 //       rubic_traffic --list-mixes / --list-controllers / --list-backends
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <memory>
@@ -126,33 +127,36 @@ std::vector<telemetry::BenchCell> bench_cells(
   return cells;
 }
 
-// The /status body: the monitor's latest round (published under
-// MonitorConfig::publish_status) plus the workload's open-loop debt — what
-// an operator checks before blaming the SLO.
+// The /status body: the monitor's latest round record plus the workload's
+// open-loop debt — what an operator checks before blaming the SLO.
 std::string traffic_status_json(const std::string& policy,
                                 runtime::TunedProcess& process,
                                 traffic::KvTrafficWorkload& workload) {
   using telemetry::jsonutil::append_double;
   using telemetry::jsonutil::append_quoted;
   using telemetry::jsonutil::append_u64;
-  const runtime::LiveStatus status = process.monitor().live_status();
+  const std::optional<runtime::RoundRecord> latest = process.monitor().latest();
+  const runtime::RoundRecord round = latest.value_or(runtime::RoundRecord{});
+  std::string_view backend;  // "" when no STM runtime is wired
+  if (round.backend >= 0) {
+    backend = stm::backend_name(static_cast<stm::BackendKind>(round.backend));
+  }
   const traffic::TrafficSummary sum = workload.summary();
   std::string out = "{\"tool\": \"rubic_traffic\", \"policy\": ";
   append_quoted(out, policy);
   out += ", \"backend\": ";
-  append_quoted(out, status.backend);
+  append_quoted(out, backend);
   out += ", \"rounds\": ";
-  append_u64(out, status.rounds);
+  append_u64(out, latest ? round.decision.round + 1 : 0);
   out += ", \"level\": ";
-  append_u64(out, static_cast<std::uint64_t>(
-                      status.level < 0 ? 0 : status.level));
+  append_u64(out, static_cast<std::uint64_t>(std::max(round.decision.next, 0)));
   out += ", \"throughput\": ";
-  append_double(out, status.throughput);
+  append_double(out, round.throughput);
   out += ", \"commit_ratio\": ";
-  append_double(out, status.commit_ratio);
+  append_double(out, round.commit_ratio);
   out += ", \"phase\": ";
-  if (status.phase_valid) {
-    append_quoted(out, status.phase_name);
+  if (round.phase.valid) {
+    append_quoted(out, round.phase.phase_name);
   } else {
     out += "null";
   }
@@ -232,9 +236,6 @@ traffic::RunResult run_policy(const std::string& policy, const Options& opt) {
   config.monitor.period = milliseconds(opt.period_ms);
   config.monitor.stm_runtime = &rt;
   config.monitor.record_trace = false;
-  // The /status handler reads the monitor's round from another thread;
-  // publish_status makes the copy it reads.
-  config.monitor.publish_status = !opt.listen.empty();
   runtime::TunedProcess process(rt, workload, *controller, config);
 
   // Declared after process/workload so the serving thread is gone before
